@@ -10,6 +10,7 @@
 #include "crew/core/agglomerative.h"
 #include "crew/data/generator.h"
 #include "crew/embed/sgns.h"
+#include "crew/explain/token_view.h"
 #include "crew/la/ridge.h"
 #include "crew/model/trainer.h"
 #include "crew/text/string_similarity.h"
@@ -181,6 +182,35 @@ void BM_EmbeddingBagPerturbationBatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * batch);
 }
 BENCHMARK(BM_EmbeddingBagPerturbationBatch)->Arg(32)->Arg(256)->Arg(1024);
+
+// One scoring block through a featurizer-based matcher: 64 random
+// keep-mask variants of one pair (BatchScorer's block size). Variants
+// repeat most attribute values, which the featurizer's per-attribute memo
+// serves; BM_PredictProbaBatch scores distinct pairs and never hits it.
+void BM_FeaturizePerturbationBatch(benchmark::State& state) {
+  constexpr int kBlock = 64;
+  const auto kind = static_cast<crew::MatcherKind>(state.range(0));
+  const auto& pipeline = PipelineFor(kind);
+  const crew::PairTokenView view(pipeline.train.schema(), crew::Tokenizer(),
+                                 pipeline.test.pair(0));
+  crew::Rng rng(11);
+  std::vector<crew::RecordPair> pairs(kBlock);
+  std::vector<bool> keep(view.size());
+  for (auto& pair : pairs) {
+    for (int i = 0; i < view.size(); ++i) keep[i] = rng.Bernoulli(0.7);
+    view.MaterializeInto(keep, &pair);
+  }
+  std::vector<double> scores;
+  for (auto _ : state) {
+    pipeline.matcher->PredictProbaBatch(pairs, &scores);
+    benchmark::DoNotOptimize(scores.data());
+  }
+  state.SetItemsProcessed(state.iterations() * kBlock);
+}
+BENCHMARK(BM_FeaturizePerturbationBatch)
+    ->Arg(static_cast<long>(crew::MatcherKind::kLogistic))
+    ->Arg(static_cast<long>(crew::MatcherKind::kMlp))
+    ->Arg(static_cast<long>(crew::MatcherKind::kRandomForest));
 
 void BM_SgnsEpoch(benchmark::State& state) {
   crew::Corpus corpus;

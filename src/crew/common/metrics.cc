@@ -66,13 +66,16 @@ void AddToSlot(int slot, std::int64_t delta) {
   LocalShard()->slots[slot].fetch_add(delta, std::memory_order_relaxed);
 }
 
-// Raw (baseline-ignoring) totals for one slot. Caller holds state.mu.
-std::int64_t RawTotalLocked(const RegistryState& state, int slot) {
-  std::int64_t total = 0;
+// Raw (baseline-ignoring) totals of every allocated slot, each shard slot
+// read exactly once. Caller holds state.mu.
+std::vector<std::int64_t> RawTotalsLocked(const RegistryState& state) {
+  std::vector<std::int64_t> totals(state.next_slot, 0);
   for (const Shard* shard : state.shards) {
-    total += shard->slots[slot].load(std::memory_order_relaxed);
+    for (int slot = 0; slot < state.next_slot; ++slot) {
+      totals[slot] += shard->slots[slot].load(std::memory_order_relaxed);
+    }
   }
-  return total;
+  return totals;
 }
 
 int AllocateSlots(RegistryState& state, int n) {
@@ -93,10 +96,13 @@ std::string BucketName(const std::string& base, int b) {
                           static_cast<long long>(BucketBound(b)));
 }
 
-// Builds the snapshot under the lock. Histogram entries expand into their
-// fixed bucket set; iteration over the name-sorted metric map plus sorted
-// bucket suffixes keeps overall ordering deterministic.
-MetricsSnapshot SnapshotLocked(const RegistryState& state) {
+// Builds the snapshot of `raw` (from RawTotalsLocked) under the lock.
+// Histogram entries expand into their fixed bucket set; iteration over the
+// name-sorted metric map plus sorted bucket suffixes keeps overall ordering
+// deterministic.
+MetricsSnapshot SnapshotLocked(const RegistryState& state,
+                               const std::vector<std::int64_t>& raw) {
+  auto delta = [&](int slot) { return raw[slot] - state.baseline[slot]; };
   MetricsSnapshot out;
   out.reserve(state.metrics.size());
   for (const auto& [name, info] : state.metrics) {
@@ -105,8 +111,7 @@ MetricsSnapshot SnapshotLocked(const RegistryState& state) {
         MetricEntry e;
         e.name = name;
         e.kind = MetricKind::kCounter;
-        e.count = RawTotalLocked(state, info.first_slot) -
-                  state.baseline[info.first_slot];
+        e.count = delta(info.first_slot);
         out.push_back(std::move(e));
         break;
       }
@@ -114,12 +119,8 @@ MetricsSnapshot SnapshotLocked(const RegistryState& state) {
         MetricEntry e;
         e.name = name;
         e.kind = MetricKind::kDuration;
-        e.count = RawTotalLocked(state, info.first_slot) -
-                  state.baseline[info.first_slot];
-        e.total_ms =
-            static_cast<double>(RawTotalLocked(state, info.first_slot + 1) -
-                                state.baseline[info.first_slot + 1]) /
-            1e6;
+        e.count = delta(info.first_slot);
+        e.total_ms = static_cast<double>(delta(info.first_slot + 1)) / 1e6;
         out.push_back(std::move(e));
         break;
       }
@@ -128,8 +129,7 @@ MetricsSnapshot SnapshotLocked(const RegistryState& state) {
           MetricEntry e;
           e.name = BucketName(name, b);
           e.kind = MetricKind::kHistogram;
-          e.count = RawTotalLocked(state, info.first_slot + b) -
-                    state.baseline[info.first_slot + b];
+          e.count = delta(info.first_slot + b);
           out.push_back(std::move(e));
         }
         break;
@@ -213,19 +213,20 @@ Histogram* MetricsRegistry::GetHistogram(const std::string& name) {
 MetricsSnapshot MetricsRegistry::Snapshot() const {
   const RegistryState& state = State();
   std::lock_guard<std::mutex> lock(state.mu);
-  return SnapshotLocked(state);
+  return SnapshotLocked(state, RawTotalsLocked(state));
 }
 
 MetricsSnapshot MetricsRegistry::Reset() {
   RegistryState& state = State();
   std::lock_guard<std::mutex> lock(state.mu);
-  MetricsSnapshot snapshot = SnapshotLocked(state);
-  // Rebase inside the same critical section: every slot's baseline becomes
-  // its current raw total, so the returned snapshot and the new epoch
+  // The snapshot and the new baseline come from one read of the shards:
+  // writers never take the lock, so a second read would also see
+  // increments made after the first, and those would land in neither
+  // epoch. With one read, the returned snapshot and the new epoch
   // partition all increments exactly (the "atomic epoch").
-  for (int slot = 0; slot < state.next_slot; ++slot) {
-    state.baseline[slot] = RawTotalLocked(state, slot);
-  }
+  const std::vector<std::int64_t> raw = RawTotalsLocked(state);
+  MetricsSnapshot snapshot = SnapshotLocked(state, raw);
+  std::copy(raw.begin(), raw.end(), state.baseline.begin());
   return snapshot;
 }
 

@@ -1,14 +1,17 @@
 #ifndef CREW_MODEL_FEATURES_H_
 #define CREW_MODEL_FEATURES_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "crew/data/record.h"
 #include "crew/data/schema.h"
 #include "crew/embed/embedding_store.h"
 #include "crew/la/vector_ops.h"
+#include "crew/text/string_similarity.h"
 #include "crew/text/tokenizer.h"
 
 namespace crew {
@@ -24,13 +27,28 @@ namespace crew {
 /// explainers rely on.
 class PairFeaturizer {
  public:
-  /// Reusable buffers for ExtractInto. One scratch per thread/batch; the
-  /// hot loop of the batch scoring engine keeps a single instance alive so
-  /// per-pair extraction performs no vector allocations in steady state.
-  struct Scratch {
-    std::vector<std::string> left_tokens, right_tokens;
-    std::vector<std::string> all_left, all_right;
-    la::Vec mean_left, mean_right;
+  /// Reusable state for ExtractInto: work buffers plus a memo of
+  /// per-attribute results. An attribute's features and tokens are a pure
+  /// function of (featurizer, attribute, left value, right value), and a
+  /// perturbation block repeats most attribute values, so repeats are
+  /// served from the memo. The memo holds a fixed, small number of entries
+  /// and binds to one featurizer: a scratch passed to a different
+  /// featurizer drops it first. Keep one scratch per thread/batch.
+  class Scratch {
+   public:
+    // Out of line: Entry is complete only in features.cc.
+    Scratch();
+    ~Scratch();
+
+   private:
+    friend class PairFeaturizer;
+    struct Entry;
+
+    uint64_t owner_ = 0;  // id of the featurizer the memo belongs to
+    uint64_t clock_ = 0;  // lookup counter; entries record their last use
+    std::vector<std::unique_ptr<Entry>> memo_;
+    TokenSet all_left_, all_right_;
+    la::Vec mean_left_, mean_right_;
   };
 
   /// `embeddings` may be null; embedding-cosine features are then 0.
@@ -54,9 +72,19 @@ class PairFeaturizer {
   static constexpr int kPerAttribute = 5;
   static constexpr int kGlobal = 3;
 
+  /// The memo entry for attribute `a` holding (va, vb), computed on a miss.
+  const Scratch::Entry& LookupAttribute(int a, std::string_view va,
+                                        std::string_view vb,
+                                        Scratch* scratch) const;
+  void ComputeAttribute(int a, std::string_view va, std::string_view vb,
+                        Scratch* scratch, Scratch::Entry* entry) const;
+
   Schema schema_;
   std::shared_ptr<const EmbeddingStore> embeddings_;
   Tokenizer tokenizer_;
+  /// Unique per constructed featurizer (copies share it, as they share
+  /// every input of the features); keys the scratch memo's binding.
+  uint64_t id_;
 };
 
 /// Z-score standardizer fitted on training features; keeps matcher training
