@@ -25,17 +25,8 @@ int main(int argc, char** argv) {
 
   // Cross-dataset summary: flip stats are part of every per-instance
   // record, so this is a pure re-reduction.
-  crew::ExperimentResult summary;
-  summary.name = result->name;
-  summary.params = result->params;
-  for (const std::string& name : result->VariantNames()) {
-    crew::ExperimentCell cell;
-    cell.dataset = "all";
-    cell.variant = name;
-    cell.aggregate = result->ReduceAcross(name);
-    summary.cells.push_back(std::move(cell));
-  }
-  crew::TableSink table(
+  crew::PrintResultTable(
+      crew::bench::SummaryAcrossDatasets(*result),
       {{"flip%",
         [](const crew::ExperimentCell& cell) {
           return crew::Table::Num(100.0 * cell.aggregate.flip_set_rate, 1);
@@ -45,7 +36,6 @@ int main(int argc, char** argv) {
        crew::AggColumn("words-to-flip",
                        &crew::ExplainerAggregate::flip_set_tokens, 2)},
       /*dataset_column=*/false, /*variant_column=*/true);
-  crew::bench::DieIfError(table.Consume(summary));
   std::printf("(units/words averaged over flipped instances only)\n");
   crew::bench::EmitJsonIfRequested(*result, options);
   return 0;

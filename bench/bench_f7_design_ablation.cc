@@ -52,17 +52,8 @@ int main(int argc, char** argv) {
   auto result = runner.Run(setup.hooks);
   crew::bench::DieIfError(result.status());
 
-  crew::ExperimentResult summary;
-  summary.name = result->name;
-  summary.params = result->params;
-  for (const std::string& name : result->VariantNames()) {
-    crew::ExperimentCell cell;
-    cell.dataset = "all";
-    cell.variant = name;
-    cell.aggregate = result->ReduceAcross(name);
-    summary.cells.push_back(std::move(cell));
-  }
-  crew::TableSink table(
+  crew::PrintResultTable(
+      crew::bench::SummaryAcrossDatasets(*result),
       {crew::AggColumn("aopc", &crew::ExplainerAggregate::aopc),
        crew::AggColumn("compr@1",
                        &crew::ExplainerAggregate::comprehensiveness_at_1),
@@ -70,7 +61,6 @@ int main(int argc, char** argv) {
        crew::AggColumn("coherence",
                        &crew::ExplainerAggregate::cluster_coherence)},
       /*dataset_column=*/false, /*variant_column=*/true);
-  crew::bench::DieIfError(table.Consume(summary));
   crew::bench::EmitJsonIfRequested(*result, options);
   return 0;
 }

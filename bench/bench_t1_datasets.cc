@@ -4,8 +4,9 @@
 // counts, match ratio, vocabulary size, record length, and the token
 // overlap gap between matches and non-matches (the signal the matchers
 // learn and the explainers must surface). No training or explaining
-// happens here, so the cells are built directly rather than through
-// ExperimentRunner — but the emit path (table + --json) is shared.
+// happens here, so each cell is a custom grid task rather than an
+// ExperimentRunner suite cell — but resume and the emit path (table +
+// --json) are shared.
 
 #include <cstdio>
 
@@ -15,28 +16,19 @@ int main(int argc, char** argv) {
   const auto options = crew::bench::BenchOptions::Parse(argc, argv);
   std::printf("== T1: dataset statistics ==\n\n");
 
-  crew::ExperimentResult result;
-  result.name = "t1_datasets";
-  result.params.push_back({"seed", std::to_string(options.seed)});
-  // No ExperimentRunner here, so the streaming/restart plumbing is driven
-  // directly: restored cells skip the dataset generation entirely.
-  const auto setup = crew::bench::MakeStreamSetup(options);
-  crew::CellStreamer streamer(setup.hooks);
+  crew::ExperimentResult header;
+  header.name = "t1_datasets";
+  header.params.push_back({"seed", std::to_string(options.seed)});
+  // A restored cell skips the dataset generation entirely.
   const auto entries = options.Datasets();
-  crew::bench::DieIfError(
-      streamer.Begin(result, static_cast<int>(entries.size())));
-  crew::Tokenizer tokenizer;
+  std::vector<crew::GridTask> tasks;
   for (const auto& entry : entries) {
-    crew::ExperimentCell cell;
-    auto restored = streamer.TryRestore(entry.name, "stats", &cell);
-    crew::bench::DieIfError(restored.status());
-    if (!*restored) {
-      crew::bench::DieIfError(streamer.BeforeFreshCell());
+    auto compute = [entry]() -> crew::Result<crew::ExperimentCell> {
       auto dataset = crew::GenerateDataset(entry.config);
-      crew::bench::DieIfError(dataset.status());
+      if (!dataset.ok()) return dataset.status();
+      crew::Tokenizer tokenizer;
       const auto stats = crew::ComputeStats(dataset.value(), tokenizer);
-      cell.dataset = entry.name;
-      cell.variant = "stats";
+      crew::ExperimentCell cell;
       cell.metrics = {
           {"pairs", static_cast<double>(stats.pairs)},
           {"match_pct", 100.0 * stats.match_ratio},
@@ -45,14 +37,16 @@ int main(int argc, char** argv) {
           {"jaccard_match", stats.avg_token_overlap_match},
           {"jaccard_nonmatch", stats.avg_token_overlap_nonmatch},
       };
-      crew::bench::DieIfError(streamer.Emit(cell));
-    }
-    result.cells.push_back(std::move(cell));
+      return cell;
+    };
+    tasks.push_back({entry.name, "stats", compute});
   }
-  crew::bench::DieIfError(streamer.Finish(result));
+  const auto setup = crew::bench::MakeStreamSetup(options);
+  auto result = crew::RunGrid(std::move(header), tasks, setup.hooks);
+  crew::bench::DieIfError(result.status());
 
   crew::bench::EmitExperiment(
-      result, options,
+      *result, options,
       {crew::MetricColumn("pairs", "pairs", 0),
        crew::MetricColumn("match%", "match_pct", 1),
        crew::MetricColumn("vocab", "vocab", 0),

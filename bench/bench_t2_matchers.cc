@@ -2,8 +2,9 @@
 //
 // Reproduces the "models under explanation are competent" table every EM
 // explainability paper reports before evaluating explainers. Each matcher
-// kind is one grid variant; no explaining happens, so the cells are built
-// directly and only the emit path (table + --json) is shared.
+// kind is one grid variant; no explaining happens, so each cell is a
+// custom grid task and only resume and the emit path (table + --json) are
+// shared with the explainer benches.
 //
 //   ./bench_t2_matchers [--matches 250] [--nonmatches 350] [--seed 7]
 
@@ -16,53 +17,45 @@ int main(int argc, char** argv) {
   const auto options = crew::bench::BenchOptions::Parse(argc, argv);
   std::printf("== T2: matcher quality (test F1) ==\n\n");
 
-  crew::ExperimentResult result;
-  result.name = "t2_matchers";
-  result.params.push_back({"seed", std::to_string(options.seed)});
-  // No ExperimentRunner here, so the streaming/restart plumbing is driven
-  // directly. Restored cells skip TrainPipeline (the expensive part); the
-  // dataset is generated lazily so a fully restored row costs nothing.
-  const auto setup = crew::bench::MakeStreamSetup(options);
-  crew::CellStreamer streamer(setup.hooks);
+  crew::ExperimentResult header;
+  header.name = "t2_matchers";
+  header.params.push_back({"seed", std::to_string(options.seed)});
+  // Restored cells skip TrainPipeline (the expensive part); each dataset is
+  // generated lazily by its first fresh cell, so a fully restored row
+  // costs nothing.
   const auto entries = options.Datasets();
-  const auto kinds = crew::AllMatcherKinds();
-  crew::bench::DieIfError(streamer.Begin(
-      result, static_cast<int>(entries.size() * kinds.size())));
-  for (const auto& entry : entries) {
-    std::optional<crew::Dataset> dataset;
-    for (crew::MatcherKind kind : kinds) {
-      crew::ExperimentCell cell;
-      auto restored =
-          streamer.TryRestore(entry.name, crew::MatcherKindName(kind), &cell);
-      crew::bench::DieIfError(restored.status());
-      if (!*restored) {
-        crew::bench::DieIfError(streamer.BeforeFreshCell());
-        if (!dataset.has_value()) {
-          auto generated = crew::GenerateDataset(entry.config);
-          crew::bench::DieIfError(generated.status());
-          dataset = std::move(generated.value());
+  std::vector<std::optional<crew::Dataset>> datasets(entries.size());
+  std::vector<crew::GridTask> tasks;
+  for (size_t d = 0; d < entries.size(); ++d) {
+    for (crew::MatcherKind kind : crew::AllMatcherKinds()) {
+      auto compute = [&, d, kind]() -> crew::Result<crew::ExperimentCell> {
+        if (!datasets[d].has_value()) {
+          auto generated = crew::GenerateDataset(entries[d].config);
+          if (!generated.ok()) return generated.status();
+          datasets[d] = std::move(generated.value());
         }
         auto pipeline =
-            crew::TrainPipeline(*dataset, kind, 0.7, options.seed);
-        crew::bench::DieIfError(pipeline.status());
+            crew::TrainPipeline(*datasets[d], kind, 0.7, options.seed);
+        if (!pipeline.ok()) return pipeline.status();
         const auto& m = pipeline.value().test_metrics;
-        cell.dataset = entry.name;
-        cell.variant = crew::MatcherKindName(kind);
+        crew::ExperimentCell cell;
         cell.metrics = {
             {"precision", m.Precision()},
             {"recall", m.Recall()},
             {"f1", m.F1()},
             {"threshold", pipeline.value().matcher->threshold()},
         };
-        crew::bench::DieIfError(streamer.Emit(cell));
-      }
-      result.cells.push_back(std::move(cell));
+        return cell;
+      };
+      tasks.push_back({entries[d].name, crew::MatcherKindName(kind), compute});
     }
   }
-  crew::bench::DieIfError(streamer.Finish(result));
+  const auto setup = crew::bench::MakeStreamSetup(options);
+  auto result = crew::RunGrid(std::move(header), tasks, setup.hooks);
+  crew::bench::DieIfError(result.status());
 
   crew::bench::EmitExperiment(
-      result, options,
+      *result, options,
       {crew::MetricColumn("precision", "precision"),
        crew::MetricColumn("recall", "recall"),
        crew::MetricColumn("f1", "f1"),

@@ -165,6 +165,20 @@ inline ExperimentSpec SpecFromOptions(std::string name,
   return spec;
 }
 
+/// One "all" cell per variant, reduced over every dataset's instances:
+/// the cross-dataset summary table of the ablation benches.
+inline ExperimentResult SummaryAcrossDatasets(const ExperimentResult& result) {
+  ExperimentResult summary;
+  for (const std::string& name : result.VariantNames()) {
+    ExperimentCell cell;
+    cell.dataset = "all";
+    cell.variant = name;
+    cell.aggregate = result.ReduceAcross(name);
+    summary.cells.push_back(std::move(cell));
+  }
+  return summary;
+}
+
 /// Writes the Chrome trace when --trace=<file> was given. Runs after the
 /// tables so the trace covers the full experiment.
 inline void EmitTraceIfRequested(const BenchOptions& options) {
@@ -176,17 +190,9 @@ inline void EmitTraceIfRequested(const BenchOptions& options) {
               static_cast<long long>(TraceDroppedEvents()));
 }
 
-/// Standard emit path of every bench: print the cell grid as an aligned
-/// table and honour --json / --metrics / --trace. Takes the result by
-/// mutable reference to stamp include_metrics before the sinks read it.
-inline void EmitExperiment(ExperimentResult& result,
-                           const BenchOptions& options,
-                           std::vector<TableColumn> columns,
-                           bool dataset_column = true,
-                           bool variant_column = true) {
-  result.include_metrics = options.metrics;
-  TableSink table(std::move(columns), dataset_column, variant_column);
-  DieIfError(table.Consume(result));
+/// The --json / --trace legs of every bench's emit path.
+inline void WriteJsonAndTrace(const ExperimentResult& result,
+                              const BenchOptions& options) {
   if (!options.json.empty()) {
     DieIfError(WriteExperimentJson(result, options.json));
     std::printf("wrote %s\n", options.json.c_str());
@@ -194,28 +200,26 @@ inline void EmitExperiment(ExperimentResult& result,
   EmitTraceIfRequested(options);
 }
 
-/// Emit path for benches that already printed custom tables: the --json /
-/// --metrics / --trace legs only.
+/// Standard emit path of every bench: print the cell grid as an aligned
+/// table (plus the --metrics block) and honour --json / --trace. Takes the
+/// result by mutable reference to stamp include_metrics first.
+inline void EmitExperiment(ExperimentResult& result,
+                           const BenchOptions& options,
+                           const std::vector<TableColumn>& columns,
+                           bool dataset_column = true,
+                           bool variant_column = true) {
+  result.include_metrics = options.metrics;
+  PrintResultTable(result, columns, dataset_column, variant_column);
+  WriteJsonAndTrace(result, options);
+}
+
+/// Emit path for benches that already printed custom tables: the
+/// --metrics block and the --json / --trace legs only.
 inline void EmitJsonIfRequested(ExperimentResult& result,
                                 const BenchOptions& options) {
   result.include_metrics = options.metrics;
-  if (options.metrics) {
-    std::vector<MetricsSnapshot> deltas;
-    deltas.reserve(result.cells.size());
-    for (const ExperimentCell& cell : result.cells) {
-      deltas.push_back(cell.registry);
-    }
-    const MetricsSnapshot total = MetricsSum(deltas);
-    if (!total.empty()) {
-      std::printf("-- metrics (summed over cells) --\n%s\n",
-                  MetricsSnapshotTable(total).ToAligned().c_str());
-    }
-  }
-  if (!options.json.empty()) {
-    DieIfError(WriteExperimentJson(result, options.json));
-    std::printf("wrote %s\n", options.json.c_str());
-  }
-  EmitTraceIfRequested(options);
+  PrintMetricsBlock(result);
+  WriteJsonAndTrace(result, options);
 }
 
 }  // namespace crew::bench

@@ -34,16 +34,16 @@ void ExplainOnePair(const crew::TrainedPipeline& pipeline,
   crew::Tokenizer tokenizer;
   for (const auto& explainer : suite) {
     auto result =
-        crew::ExplainAsUnits(*explainer, *pipeline.matcher, pair, seed);
+        crew::ExplainAsUnitsEx(*explainer, *pipeline.matcher, pair, seed);
     if (!result.ok()) {
       std::fprintf(stderr, "%s: %s\n", explainer->Name().c_str(),
                    result.status().ToString().c_str());
       continue;
     }
-    const auto& units = result->second;
+    const auto& units = result->units;
     crew::EvalInstance instance{
         crew::PairTokenView(crew::AnonymousSchema(pair), tokenizer, pair),
-        units, result->first.base_score, pipeline.matcher->threshold()};
+        units, result->words.base_score, pipeline.matcher->threshold()};
     const double drop =
         crew::ComprehensivenessAtK(*pipeline.matcher, instance, 3);
     std::printf("  %-12s (%2d units, drop@3 = %+0.3f):",

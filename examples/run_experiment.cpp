@@ -139,21 +139,18 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // 4. Emit through sinks: console table, then JSON if asked.
+  // 4. Emit: console table (plus the --metrics block), then JSON if asked.
   result.value().include_metrics = metrics;
-  crew::TableSink table({
-      crew::AggColumn("aopc", &crew::ExplainerAggregate::aopc),
-      crew::AggColumn("compr@3", &crew::ExplainerAggregate::comprehensiveness_at_3),
-      crew::AggColumn("units", &crew::ExplainerAggregate::total_units, 1),
-      crew::AggColumn("ms/expl", &crew::ExplainerAggregate::runtime_ms, 2),
-  });
-  if (auto status = table.Consume(result.value()); !status.ok()) {
-    std::fprintf(stderr, "%s\n", status.ToString().c_str());
-    return 1;
-  }
+  crew::PrintResultTable(
+      result.value(),
+      {crew::AggColumn("aopc", &crew::ExplainerAggregate::aopc),
+       crew::AggColumn("compr@3",
+                       &crew::ExplainerAggregate::comprehensiveness_at_3),
+       crew::AggColumn("units", &crew::ExplainerAggregate::total_units, 1),
+       crew::AggColumn("ms/expl", &crew::ExplainerAggregate::runtime_ms, 2)});
   if (!json.empty()) {
-    crew::JsonSink sink(json);
-    if (auto status = sink.Consume(result.value()); !status.ok()) {
+    if (auto status = crew::WriteExperimentJson(result.value(), json);
+        !status.ok()) {
       std::fprintf(stderr, "%s\n", status.ToString().c_str());
       return 1;
     }

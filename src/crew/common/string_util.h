@@ -29,6 +29,10 @@ bool EndsWith(std::string_view s, std::string_view suffix);
 /// printf-style formatting into a std::string.
 std::string StrPrintf(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 
+/// Escapes a string for inclusion in a JSON document (quotes, backslashes,
+/// control characters). The one escaper every CREW JSON writer uses.
+std::string JsonEscape(const std::string& s);
+
 /// Parses a double / int; returns false on malformed input or trailing junk.
 bool ParseDouble(std::string_view s, double* out);
 bool ParseInt(std::string_view s, int* out);

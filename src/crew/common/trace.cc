@@ -59,20 +59,6 @@ std::chrono::steady_clock::time_point TraceEpoch() {
   return epoch;
 }
 
-void AppendJsonEscaped(const char* s, std::string* out) {
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
-    if (c == '"' || c == '\\') {
-      out->push_back('\\');
-      out->push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      *out += StrPrintf("\\u%04x", c);
-    } else {
-      out->push_back(c);
-    }
-  }
-}
-
 }  // namespace
 
 void SetTracingEnabled(bool enabled) {
@@ -157,7 +143,7 @@ std::string TraceEventsToChromeJson(const std::vector<TraceEvent>& events) {
     if (!first) out += ",";
     first = false;
     out += "{\"name\":\"";
-    AppendJsonEscaped(event.name, &out);
+    out += JsonEscape(event.name);
     // ts/dur are microseconds (doubles); %.3f keeps nanosecond resolution.
     out += StrPrintf(
         "\",\"cat\":\"crew\",\"ph\":\"X\",\"pid\":%d,\"tid\":%d,"

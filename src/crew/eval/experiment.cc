@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "crew/core/decision_units.h"
-#include "crew/eval/runner.h"
 #include "crew/explain/certa.h"
 #include "crew/explain/lemon.h"
 #include "crew/explain/lime.h"
@@ -126,32 +125,6 @@ Result<UnitizedExplanation> ExplainAsUnitsEx(const Explainer& explainer,
   out.units = SingletonUnits(words.value());
   out.words = std::move(words.value());
   return out;
-}
-
-Result<std::pair<WordExplanation, std::vector<ExplanationUnit>>>
-ExplainAsUnits(const Explainer& explainer, const Matcher& matcher,
-               const RecordPair& pair, uint64_t seed) {
-  auto ex = ExplainAsUnitsEx(explainer, matcher, pair, seed);
-  if (!ex.ok()) return ex.status();
-  return std::make_pair(std::move(ex.value().words),
-                        std::move(ex.value().units));
-}
-
-Result<ExplainerAggregate> EvaluateExplainerOnDataset(
-    const Explainer& explainer, const Matcher& matcher, const Dataset& test,
-    const std::vector<int>& instance_indices,
-    const EmbeddingStore* embeddings, uint64_t seed,
-    std::vector<double>* per_instance_aopc) {
-  auto records = EvaluateInstances(explainer, matcher, test, instance_indices,
-                                   embeddings, seed);
-  if (!records.ok()) return records.status();
-  if (per_instance_aopc != nullptr) {
-    per_instance_aopc->clear();
-    for (const InstanceEvaluation& r : records.value()) {
-      if (r.evaluated) per_instance_aopc->push_back(r.aopc);
-    }
-  }
-  return ReduceInstances(explainer.Name(), records.value());
 }
 
 }  // namespace crew

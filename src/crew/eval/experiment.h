@@ -77,23 +77,6 @@ struct ExplainerAggregate {
   double runtime_ms = 0.0;
 };
 
-/// Explains each selected pair and averages all metrics. CREW is detected
-/// dynamically so its cluster units are evaluated as units; every other
-/// explainer contributes singleton (word) units.
-/// `per_instance_aopc` (optional) receives one AOPC value per evaluated
-/// instance, in `instance_indices` order — the paired samples the
-/// significance tests (PairedBootstrap) consume.
-///
-/// Implemented on top of the runner: instances are sharded across the
-/// shared scoring pool with per-instance seeds `seed ^ (idx << 20)`, and
-/// the reduction runs in index order, so the result is bit-identical to
-/// the historical serial loop for any `--threads` value.
-Result<ExplainerAggregate> EvaluateExplainerOnDataset(
-    const Explainer& explainer, const Matcher& matcher, const Dataset& test,
-    const std::vector<int>& instance_indices,
-    const EmbeddingStore* embeddings, uint64_t seed,
-    std::vector<double>* per_instance_aopc = nullptr);
-
 /// One explanation lifted to evaluation units, plus the cluster-level
 /// diagnostics that only cluster explainers (CREW) produce.
 struct UnitizedExplanation {
@@ -113,12 +96,6 @@ Result<UnitizedExplanation> ExplainAsUnitsEx(const Explainer& explainer,
                                              const Matcher& matcher,
                                              const RecordPair& pair,
                                              uint64_t seed);
-
-/// Unitizes one explanation: CREW -> clusters, everything else ->
-/// one-word units. Returns the word explanation plus the units.
-Result<std::pair<WordExplanation, std::vector<ExplanationUnit>>>
-ExplainAsUnits(const Explainer& explainer, const Matcher& matcher,
-               const RecordPair& pair, uint64_t seed);
 
 }  // namespace crew
 

@@ -427,72 +427,31 @@ Result<PreparedDataset> PrepareDataset(const BenchmarkEntry& entry,
   return out;
 }
 
-ExperimentResult ExperimentRunner::EmptyResult() const {
+ExperimentResult ExperimentHeader(const ExperimentSpec& spec) {
   ExperimentResult out;
-  out.name = spec_.name;
-  out.params.push_back({"matcher", MatcherKindName(spec_.matcher)});
+  out.name = spec.name;
+  out.params.push_back({"matcher", MatcherKindName(spec.matcher)});
   out.params.push_back(
-      {"instances", std::to_string(spec_.instances_per_dataset)});
-  out.params.push_back({"seed", std::to_string(spec_.seed)});
+      {"instances", std::to_string(spec.instances_per_dataset)});
+  out.params.push_back({"seed", std::to_string(spec.seed)});
   out.params.push_back({"threads", std::to_string(ScoringThreads())});
   return out;
 }
 
-Result<ExperimentResult> ExperimentRunner::RunWith(
-    const std::function<Status(const PreparedDataset&, ExperimentResult*)>&
-        fn,
-    const RunHooks& hooks) const {
-  ExperimentResult out = EmptyResult();
-  CellStreamer streamer(hooks);
-  // The runner does not know how many cells `fn` will append; a seed-armed
-  // fault resolves against the dataset count (one "window" per dataset).
-  CREW_RETURN_IF_ERROR(
-      streamer.Begin(out, static_cast<int>(spec_.datasets.size())));
-  size_t streamed = 0;
-  for (const BenchmarkEntry& entry : spec_.datasets) {
-    CREW_RETURN_IF_ERROR(streamer.BeforeFreshCell());
-    auto prepared = PrepareDataset(entry, spec_);
-    if (!prepared.ok()) return prepared.status();
-    Status status = fn(prepared.value(), &out);
-    if (!status.ok()) return status;
-    // Stream whatever the dataset callback appended. Appends are
-    // idempotent per cell key, so re-running over an existing checkpoint
-    // never duplicates lines — but custom cells are not skipped either
-    // (the runner cannot resume work it does not schedule itself).
-    for (; streamed < out.cells.size(); ++streamed) {
-      if (StableTiming()) ZeroCellTimings(&out.cells[streamed]);
-      CREW_RETURN_IF_ERROR(streamer.Emit(out.cells[streamed]));
-    }
-  }
-  CREW_RETURN_IF_ERROR(streamer.Finish(out));
-  return out;
-}
-
-Result<ExperimentResult> ExperimentRunner::RunPrepared(
-    const std::vector<PreparedDataset>& prepared,
-    const RunHooks& hooks) const {
-  ExperimentResult out = EmptyResult();
-  CREW_CHECK(spec_.suite != nullptr);
-  // Materialize the whole canonical grid (every suite, every cell slot)
-  // before executing anything: checkpoint keys and result positions are a
-  // function of the spec alone, never of execution order.
-  std::vector<std::vector<SuiteEntry>> suites;
-  suites.reserve(prepared.size());
-  std::vector<std::pair<int, int>> tasks;  // (prepared idx, suite entry idx)
-  for (size_t pi = 0; pi < prepared.size(); ++pi) {
-    suites.push_back(spec_.suite(prepared[pi].pipeline));
-    for (size_t ei = 0; ei < suites.back().size(); ++ei) {
-      tasks.emplace_back(static_cast<int>(pi), static_cast<int>(ei));
-    }
-  }
-  out.cells.resize(tasks.size());
-
+Result<ExperimentResult> RunGrid(ExperimentResult header,
+                                 const std::vector<GridTask>& tasks,
+                                 const RunHooks& hooks) {
+  // Every slot exists before anything executes: checkpoint keys and result
+  // positions are a function of the task list alone, never of execution
+  // order.
+  ExperimentResult out = std::move(header);
+  out.cells.assign(tasks.size(), ExperimentCell());
   CellStreamer streamer(hooks);
   CREW_RETURN_IF_ERROR(streamer.Begin(out, static_cast<int>(tasks.size())));
 
   // Execution order is a pure schedule: shuffling it (shuffle_seed) or
   // skipping restored cells changes which slot is filled when, never what
-  // any slot contains — per-instance seeds derive from the grid key.
+  // any slot contains.
   std::vector<int> order(tasks.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int>(i);
   if (hooks.shuffle_seed != 0) {
@@ -500,41 +459,78 @@ Result<ExperimentResult> ExperimentRunner::RunPrepared(
   }
 
   for (const int slot : order) {
-    const PreparedDataset& p = prepared[tasks[slot].first];
-    const SuiteEntry& entry = suites[tasks[slot].first][tasks[slot].second];
+    const GridTask& task = tasks[slot];
     ExperimentCell& cell = out.cells[slot];
-    auto restored = streamer.TryRestore(p.name, entry.name, &cell);
+    auto restored = streamer.TryRestore(task.dataset, task.variant, &cell);
     if (!restored.ok()) return restored.status();
     if (restored.value()) continue;
     CREW_RETURN_IF_ERROR(streamer.BeforeFreshCell());
-    ScopedProgressLabel label(p.name + "/" + entry.name);
-    const MetricsSnapshot before = MetricsRegistry::Global().Snapshot();
-    WallTimer timer;
-    auto records = EvaluateInstances(
-        *entry.explainer, *p.pipeline.matcher, p.pipeline.test, p.instances,
-        p.pipeline.embeddings.get(), spec_.seed, spec_.eval);
-    if (!records.ok()) return records.status();
-    cell.dataset = p.name;
-    cell.variant = entry.name;
-    cell.wall_ms = timer.ElapsedMillis();
-    // One registry read feeds both views, so cell.scoring and
-    // cell.registry can never disagree. All-zero entries are dropped so
-    // the delta's shape reflects this cell's activity only — metrics a
-    // *previous* cell registered must not leak in, or the block would
-    // depend on execution order.
-    cell.registry = DropZeroMetrics(
-        MetricsDelta(MetricsRegistry::Global().Snapshot(), before));
-    cell.scoring = ScoringStatsFromMetrics(cell.registry);
-    cell.instances = std::move(records.value());
-    {
-      CREW_TRACE_SPAN("runner/reduce");
-      cell.aggregate = ReduceInstances(entry.name, cell.instances);
-    }
+    auto computed = task.compute();
+    if (!computed.ok()) return computed.status();
+    cell = std::move(computed.value());
+    cell.dataset = task.dataset;
+    cell.variant = task.variant;
     if (StableTiming()) ZeroCellTimings(&cell);
     CREW_RETURN_IF_ERROR(streamer.Emit(cell));
   }
   CREW_RETURN_IF_ERROR(streamer.Finish(out));
   return out;
+}
+
+namespace {
+
+// One standard grid cell: `entry` evaluated on `p`'s selected instances,
+// with the wall time and metrics-registry delta attributed to it.
+Result<ExperimentCell> EvaluateSuiteCell(const PreparedDataset& p,
+                                         const SuiteEntry& entry,
+                                         const ExperimentSpec& spec) {
+  ScopedProgressLabel label(p.name + "/" + entry.name);
+  const MetricsSnapshot before = MetricsRegistry::Global().Snapshot();
+  WallTimer timer;
+  auto records = EvaluateInstances(
+      *entry.explainer, *p.pipeline.matcher, p.pipeline.test, p.instances,
+      p.pipeline.embeddings.get(), spec.seed, spec.eval);
+  if (!records.ok()) return records.status();
+  ExperimentCell cell;
+  cell.wall_ms = timer.ElapsedMillis();
+  // One registry read feeds both views, so cell.scoring and cell.registry
+  // can never disagree. All-zero entries are dropped so the delta's shape
+  // reflects this cell's activity only — metrics a *previous* cell
+  // registered must not leak in, or the block would depend on execution
+  // order.
+  cell.registry = DropZeroMetrics(
+      MetricsDelta(MetricsRegistry::Global().Snapshot(), before));
+  cell.scoring = ScoringStatsFromMetrics(cell.registry);
+  cell.instances = std::move(records.value());
+  {
+    CREW_TRACE_SPAN("runner/reduce");
+    cell.aggregate = ReduceInstances(entry.name, cell.instances);
+  }
+  return cell;
+}
+
+}  // namespace
+
+Result<ExperimentResult> ExperimentRunner::RunPrepared(
+    const std::vector<PreparedDataset>& prepared,
+    const RunHooks& hooks) const {
+  CREW_CHECK(spec_.suite != nullptr);
+  // Every suite is built before the tasks capture references into them.
+  std::vector<std::vector<SuiteEntry>> suites;
+  suites.reserve(prepared.size());
+  for (const PreparedDataset& p : prepared) {
+    suites.push_back(spec_.suite(p.pipeline));
+  }
+  std::vector<GridTask> tasks;
+  for (size_t pi = 0; pi < prepared.size(); ++pi) {
+    for (const SuiteEntry& entry : suites[pi]) {
+      tasks.push_back({prepared[pi].name, entry.name,
+                       [this, p = &prepared[pi], e = &entry] {
+                         return EvaluateSuiteCell(*p, *e, spec_);
+                       }});
+    }
+  }
+  return RunGrid(ExperimentHeader(spec_), tasks, hooks);
 }
 
 Result<ExperimentResult> ExperimentRunner::Run(const RunHooks& hooks) const {

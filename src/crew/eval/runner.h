@@ -82,7 +82,7 @@ class ScopedProgressLabel {
 };
 
 /// Knobs for the per-instance metric block. Defaults reproduce the
-/// historical EvaluateExplainerOnDataset numbers; the optional extras
+/// historical per-explainer evaluation numbers; the optional extras
 /// (deletion curve, seed stability) are only computed when requested so
 /// the common path stays cheap.
 struct InstanceEvalOptions {
@@ -195,13 +195,15 @@ struct ExperimentCell {
 };
 
 /// Full structured result of one experiment: the grid plus the parameters
-/// that produced it. Sinks (crew/eval/sinks.h) turn this into aligned
-/// tables and JSON.
+/// that produced it. PrintResultTable (crew/eval/sinks.h) and
+/// WriteExperimentJson (crew/eval/streaming.h) turn it into aligned tables
+/// and JSON.
 struct ExperimentResult {
   std::string name;
   std::vector<std::pair<std::string, std::string>> params;
   std::vector<ExperimentCell> cells;
-  /// When true, sinks also emit each cell's registry delta (--metrics).
+  /// When true, the table and JSON also carry each cell's registry delta
+  /// (--metrics).
   bool include_metrics = false;
 
   /// Variant names in first-appearance order.
@@ -245,7 +247,7 @@ struct ExperimentSpec {
   uint64_t seed = 7;
   InstanceEvalOptions eval;
   /// Builds the explainer line-up for one prepared pipeline. Required by
-  /// Run(); RunWith-based experiments may leave it empty.
+  /// Run(); experiments with custom cells (RunGrid) may leave it empty.
   std::function<std::vector<SuiteEntry>(const TrainedPipeline&)> suite;
 };
 
@@ -253,6 +255,31 @@ struct ExperimentSpec {
 /// instances (seeded exactly like the historical bench prepare step).
 Result<PreparedDataset> PrepareDataset(const BenchmarkEntry& entry,
                                        const ExperimentSpec& spec);
+
+/// One cell of a grid for RunGrid: its key and how to compute it.
+struct GridTask {
+  std::string dataset;
+  std::string variant;
+  /// Computes the fresh cell; RunGrid stamps dataset/variant on it. Never
+  /// called for a cell the checkpoint already holds, so all of a cell's
+  /// work (preparing its dataset included) belongs in here.
+  std::function<Result<ExperimentCell>()> compute;
+};
+
+/// The one grid executor. Sizes `header.cells` to one slot per task, then
+/// visits the tasks (in an Rng(hooks.shuffle_seed)-shuffled order when
+/// that is non-zero): a cell the checkpoint holds is restored without
+/// calling compute; any other passes the fault window, is computed, has its
+/// timings zeroed under stable timing, and is emitted (checkpoint append,
+/// then every sink). Slots are filled in task order whatever the visiting
+/// order, so the result depends on the tasks alone.
+Result<ExperimentResult> RunGrid(ExperimentResult header,
+                                 const std::vector<GridTask>& tasks,
+                                 const RunHooks& hooks = RunHooks());
+
+/// The result header every ExperimentSpec grid carries: the spec's name
+/// and its matcher / instances / seed / threads params.
+ExperimentResult ExperimentHeader(const ExperimentSpec& spec);
 
 /// Executes an ExperimentSpec: prepare each dataset, evaluate every suite
 /// variant on its selected instances (instances sharded across the scoring
@@ -274,20 +301,7 @@ class ExperimentRunner {
       const std::vector<PreparedDataset>& prepared,
       const RunHooks& hooks = RunHooks()) const;
 
-  /// Shared prepare + emit scaffolding for experiments whose cell
-  /// production is custom (global explanations, matcher quality): `fn` is
-  /// invoked once per prepared dataset and appends cells. Cells appended
-  /// by `fn` are streamed/checkpointed after each dataset completes, but —
-  /// unlike the standard grid — already-checkpointed cells are not skipped
-  /// (the runner cannot resume work it does not schedule itself).
-  Result<ExperimentResult> RunWith(
-      const std::function<Status(const PreparedDataset&, ExperimentResult*)>&
-          fn,
-      const RunHooks& hooks = RunHooks()) const;
-
  private:
-  ExperimentResult EmptyResult() const;
-
   ExperimentSpec spec_;
 };
 

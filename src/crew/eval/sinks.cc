@@ -1,10 +1,7 @@
 #include "crew/eval/sinks.h"
 
-#include <cmath>
 #include <cstdio>
 #include <utility>
-
-#include "crew/explain/serialize.h"
 
 namespace crew {
 
@@ -85,45 +82,32 @@ Table MakeCellTable(const std::vector<ExperimentCell>& cells,
   return table;
 }
 
-Status TableSink::OnBegin(const ExperimentResult& header) {
-  include_metrics_ = header.include_metrics;
-  cells_.clear();
-  return Status::Ok();
-}
-
-Status TableSink::OnCell(const ExperimentCell& cell, bool restored) {
-  (void)restored;
-  cells_.push_back(cell);
-  return Status::Ok();
-}
-
-Status TableSink::OnEnd(const ExperimentResult& result) {
-  (void)result;  // rendered purely from what crossed the stream
+void PrintResultTable(const ExperimentResult& result,
+                      const std::vector<TableColumn>& columns,
+                      bool dataset_column, bool variant_column,
+                      std::FILE* out) {
   const Table table =
-      MakeCellTable(cells_, columns_, dataset_column_, variant_column_);
-  // crew-lint: allow(raw-stdio): sinks write the experiment's *product*
-  // (aligned tables) to the caller-supplied stream; this is serialized
-  // output, not diagnostics.
-  std::fprintf(out_, "%s\n", table.ToAligned().c_str());
-  if (include_metrics_) {
-    std::vector<MetricsSnapshot> deltas;
-    deltas.reserve(cells_.size());
-    for (const ExperimentCell& cell : cells_) {
-      deltas.push_back(cell.registry);
-    }
-    // MetricsSum merges by sorted key, so this table is identical no
-    // matter in which order the cells arrived (canonical, shuffled, or a
-    // resumed run's restored-then-fresh order).
-    const MetricsSnapshot total = MetricsSum(deltas);
-    if (!total.empty()) {
-      // crew-lint: allow(raw-stdio): same caller-supplied product stream as
-      // the table above.
-      std::fprintf(out_, "-- metrics (summed over cells) --\n%s\n",
-                   MetricsSnapshotTable(total).ToAligned().c_str());
-    }
+      MakeCellTable(result.cells, columns, dataset_column, variant_column);
+  // crew-lint: allow(raw-stdio): the experiment's *product* (aligned
+  // tables) goes to the caller-supplied stream; this is serialized output,
+  // not diagnostics.
+  std::fprintf(out, "%s\n", table.ToAligned().c_str());
+  PrintMetricsBlock(result, out);
+}
+
+void PrintMetricsBlock(const ExperimentResult& result, std::FILE* out) {
+  if (!result.include_metrics) return;
+  std::vector<MetricsSnapshot> deltas;
+  deltas.reserve(result.cells.size());
+  for (const ExperimentCell& cell : result.cells) {
+    deltas.push_back(cell.registry);
   }
-  cells_.clear();
-  return Status::Ok();
+  const MetricsSnapshot total = MetricsSum(deltas);
+  if (total.empty()) return;
+  // crew-lint: allow(raw-stdio): same caller-supplied product stream as
+  // the table.
+  std::fprintf(out, "-- metrics (summed over cells) --\n%s\n",
+               MetricsSnapshotTable(total).ToAligned().c_str());
 }
 
 PartialTableSink::PartialTableSink(std::vector<TableColumn> columns,
@@ -158,189 +142,6 @@ Status PartialTableSink::OnCell(const ExperimentCell& cell, bool restored) {
                expected_cells_ > 0 ? expected_cells_
                                    : static_cast<int>(cells_.size()),
                table.ToAligned().c_str());
-  return Status::Ok();
-}
-
-namespace {
-
-std::string JsonStr(const std::string& s) {
-  std::string out;
-  out += '"';
-  out += JsonEscape(s);
-  out += '"';
-  return out;
-}
-
-void AppendAggregate(const ExplainerAggregate& agg, std::string* out) {
-  *out += "{";
-  *out += "\"instances\":" + std::to_string(agg.instances);
-  *out += ",\"aopc\":" + JsonDouble(agg.aopc);
-  *out += ",\"comprehensiveness_at_1\":" + JsonDouble(agg.comprehensiveness_at_1);
-  *out += ",\"comprehensiveness_at_3\":" + JsonDouble(agg.comprehensiveness_at_3);
-  *out += ",\"sufficiency_at_1\":" + JsonDouble(agg.sufficiency_at_1);
-  *out += ",\"sufficiency_at_3\":" + JsonDouble(agg.sufficiency_at_3);
-  *out += ",\"comprehensiveness_budget5\":" +
-          JsonDouble(agg.comprehensiveness_budget5);
-  *out += ",\"decision_flip_rate\":" + JsonDouble(agg.decision_flip_rate);
-  *out += ",\"insertion_aopc\":" + JsonDouble(agg.insertion_aopc);
-  *out += ",\"flip_set_rate\":" + JsonDouble(agg.flip_set_rate);
-  *out += ",\"flip_set_units\":" + JsonDouble(agg.flip_set_units);
-  *out += ",\"flip_set_tokens\":" + JsonDouble(agg.flip_set_tokens);
-  *out += ",\"total_units\":" + JsonDouble(agg.total_units);
-  *out += ",\"effective_units\":" + JsonDouble(agg.effective_units);
-  *out += ",\"words_per_unit\":" + JsonDouble(agg.words_per_unit);
-  *out += ",\"semantic_coherence\":" + JsonDouble(agg.semantic_coherence);
-  *out += ",\"attribute_purity\":" + JsonDouble(agg.attribute_purity);
-  *out += ",\"cluster_coherence\":" + JsonDouble(agg.cluster_coherence);
-  *out += ",\"cluster_silhouette\":" + JsonDouble(agg.cluster_silhouette);
-  *out += ",\"mean_chosen_k\":" + JsonDouble(agg.mean_chosen_k);
-  *out += ",\"stability\":" + JsonDouble(agg.stability);
-  *out += ",\"surrogate_r2\":" + JsonDouble(agg.surrogate_r2);
-  *out += ",\"runtime_ms\":" + JsonDouble(agg.runtime_ms);
-  *out += "}";
-}
-
-// Registry deltas serialize as {"name":{"count":N}} for counters and
-// histogram buckets, {"name":{"count":N,"ms":X}} for durations. Snapshots
-// are already name-sorted, so the emission order is deterministic.
-void AppendRegistry(const MetricsSnapshot& registry, std::string* out) {
-  *out += "{";
-  for (size_t i = 0; i < registry.size(); ++i) {
-    const MetricEntry& entry = registry[i];
-    if (i > 0) *out += ",";
-    *out += JsonStr(entry.name) + ":{\"count\":" +
-            std::to_string(entry.count);
-    if (entry.kind == MetricKind::kDuration) {
-      *out += ",\"ms\":" + JsonDouble(entry.total_ms);
-    }
-    *out += "}";
-  }
-  *out += "}";
-}
-
-void AppendCell(const ExperimentCell& cell, bool include_metrics,
-                std::string* out) {
-  *out += "{\"dataset\":" + JsonStr(cell.dataset);
-  *out += ",\"variant\":" + JsonStr(cell.variant);
-  if (!cell.instances.empty()) {
-    *out += ",\"aggregate\":";
-    AppendAggregate(cell.aggregate, out);
-    *out += ",\"per_instance_aopc\":[";
-    bool first = true;
-    for (const InstanceEvaluation& r : cell.instances) {
-      if (!r.evaluated) continue;
-      if (!first) *out += ",";
-      first = false;
-      *out += JsonDouble(r.aopc);
-    }
-    *out += "]";
-    bool any_curve = false;
-    for (const InstanceEvaluation& r : cell.instances) {
-      if (r.evaluated && !r.curve.empty()) {
-        any_curve = true;
-        break;
-      }
-    }
-    if (any_curve) {
-      *out += ",\"per_instance_curve\":[";
-      bool first_row = true;
-      for (const InstanceEvaluation& r : cell.instances) {
-        if (!r.evaluated || r.curve.empty()) continue;
-        if (!first_row) *out += ",";
-        first_row = false;
-        *out += "[";
-        for (size_t i = 0; i < r.curve.size(); ++i) {
-          if (i > 0) *out += ",";
-          *out += JsonDouble(r.curve[i]);
-        }
-        *out += "]";
-      }
-      *out += "]";
-    }
-  }
-  *out += ",\"scoring\":{\"predictions\":" +
-          std::to_string(cell.scoring.predictions) +
-          ",\"batches\":" + std::to_string(cell.scoring.batches) +
-          ",\"materialize_ms\":" + JsonDouble(cell.scoring.materialize_ms) +
-          ",\"predict_ms\":" + JsonDouble(cell.scoring.predict_ms) + "}";
-  *out += ",\"wall_ms\":" + JsonDouble(cell.wall_ms);
-  if (include_metrics && !cell.registry.empty()) {
-    *out += ",\"registry\":";
-    AppendRegistry(cell.registry, out);
-  }
-  if (!cell.metrics.empty()) {
-    *out += ",\"metrics\":{";
-    for (size_t i = 0; i < cell.metrics.size(); ++i) {
-      if (i > 0) *out += ",";
-      *out += JsonStr(cell.metrics[i].first) + ":" +
-              JsonDouble(cell.metrics[i].second);
-    }
-    *out += "}";
-  }
-  if (!cell.notes.empty()) {
-    *out += ",\"notes\":{";
-    for (size_t i = 0; i < cell.notes.size(); ++i) {
-      if (i > 0) *out += ",";
-      *out += JsonStr(cell.notes[i].first) + ":" +
-              JsonStr(cell.notes[i].second);
-    }
-    *out += "}";
-  }
-  *out += "}";
-}
-
-}  // namespace
-
-std::string ExperimentResultToJson(const ExperimentResult& result) {
-  std::string out = "{\"experiment\":" + JsonStr(result.name);
-  out += ",\"params\":{";
-  for (size_t i = 0; i < result.params.size(); ++i) {
-    if (i > 0) out += ",";
-    out += JsonStr(result.params[i].first) + ":" +
-           JsonStr(result.params[i].second);
-  }
-  out += "},\"cells\":[";
-  for (size_t i = 0; i < result.cells.size(); ++i) {
-    if (i > 0) out += ",";
-    AppendCell(result.cells[i], result.include_metrics, &out);
-  }
-  out += "]}";
-  return out;
-}
-
-Status JsonSink::OnBegin(const ExperimentResult& header) {
-  buffered_ = ExperimentResult();
-  buffered_.name = header.name;
-  buffered_.params = header.params;
-  buffered_.include_metrics = header.include_metrics;
-  return Status::Ok();
-}
-
-Status JsonSink::OnCell(const ExperimentCell& cell, bool restored) {
-  (void)restored;
-  buffered_.cells.push_back(cell);
-  return Status::Ok();
-}
-
-Status JsonSink::OnEnd(const ExperimentResult& result) {
-  (void)result;  // the document is assembled from the streamed cells only
-  Status status = WriteExperimentJson(buffered_, path_);
-  buffered_ = ExperimentResult();
-  return status;
-}
-
-Status WriteExperimentJson(const ExperimentResult& result,
-                           const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return Status::NotFound("cannot open for writing: " + path);
-  }
-  const std::string json = ExperimentResultToJson(result);
-  const size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  const bool flushed = std::fclose(f) == 0;
-  if (written != json.size() || !flushed) {
-    return Status::DataLoss("short write: " + path);
-  }
   return Status::Ok();
 }
 

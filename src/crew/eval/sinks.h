@@ -12,18 +12,6 @@
 
 namespace crew {
 
-/// Structured consumer of an ExperimentResult. Experiments produce one
-/// result and hand it to any number of sinks (console table, JSON file,
-/// ...), replacing the hand-rolled accumulation + printf each bench used
-/// to carry. The concrete sinks below are thin adapters over the
-/// streaming path (StreamingSink): Consume() replays the finished result
-/// cell by cell, so batch and streamed emission share one code path.
-class ExperimentSink {
- public:
-  virtual ~ExperimentSink() = default;
-  virtual Status Consume(const ExperimentResult& result) = 0;
-};
-
 /// One table column: a header plus a formatter over a cell.
 struct TableColumn {
   std::string header;
@@ -50,7 +38,7 @@ TableColumn RegistryMsColumn(std::string header, std::string metric,
                              int precision = 1);
 
 /// Renders a metrics snapshot (or delta) as a name/count/ms table —
-/// the "-- metrics --" block TableSink appends under --metrics.
+/// the table PrintMetricsBlock prints under --metrics.
 Table MetricsSnapshotTable(const MetricsSnapshot& snapshot);
 
 /// Builds the aligned table for `cells` with a leading dataset and/or
@@ -59,34 +47,20 @@ Table MakeCellTable(const std::vector<ExperimentCell>& cells,
                     const std::vector<TableColumn>& columns,
                     bool dataset_column = true, bool variant_column = true);
 
-/// Prints the cell grid as an aligned table. As a StreamingSink it buffers
-/// cells in arrival order and renders once at OnEnd — everything the table
-/// shows travelled through the per-cell stream, so the streamed and batch
-/// paths cannot drift apart.
-class TableSink : public ExperimentSink, public StreamingSink {
- public:
-  explicit TableSink(std::vector<TableColumn> columns,
-                     bool dataset_column = true, bool variant_column = true,
-                     std::FILE* out = stdout)
-      : columns_(std::move(columns)), dataset_column_(dataset_column),
-        variant_column_(variant_column), out_(out) {}
+/// Prints `result`'s cells as an aligned table on `out`, followed by its
+/// --metrics block (PrintMetricsBlock).
+void PrintResultTable(const ExperimentResult& result,
+                      const std::vector<TableColumn>& columns,
+                      bool dataset_column = true, bool variant_column = true,
+                      std::FILE* out = stdout);
 
-  Status Consume(const ExperimentResult& result) override {
-    return ReplayResult(*this, result);
-  }
-
-  Status OnBegin(const ExperimentResult& header) override;
-  Status OnCell(const ExperimentCell& cell, bool restored) override;
-  Status OnEnd(const ExperimentResult& result) override;
-
- private:
-  std::vector<TableColumn> columns_;
-  bool dataset_column_;
-  bool variant_column_;
-  std::FILE* out_;
-  bool include_metrics_ = false;
-  std::vector<ExperimentCell> cells_;
-};
+/// The --metrics block: when result.include_metrics, every cell's registry
+/// delta summed into one "-- metrics (summed over cells) --" table;
+/// otherwise nothing. The sum merges by sorted key, so the block is the
+/// same whatever order the cells arrived in (canonical, shuffled, or a
+/// resumed run's restored-then-fresh order).
+void PrintMetricsBlock(const ExperimentResult& result,
+                       std::FILE* out = stdout);
 
 /// Live partial-table mode for interactive (TTY) runs: after every cell it
 /// re-renders the table of everything seen so far, prefixed with a
@@ -107,37 +81,6 @@ class PartialTableSink : public StreamingSink {
   std::FILE* out_;
   int expected_cells_ = 0;
   std::vector<ExperimentCell> cells_;
-};
-
-/// Serializes the full result (params, every aggregate field, per-instance
-/// AOPC samples, scoring counters, extra metrics/notes) as one
-/// self-describing JSON document — the machine-readable record each bench
-/// emits via --json so perf/quality trajectories can be captured
-/// mechanically.
-std::string ExperimentResultToJson(const ExperimentResult& result);
-
-/// Writes ExperimentResultToJson to `path`.
-Status WriteExperimentJson(const ExperimentResult& result,
-                           const std::string& path);
-
-/// File-writing sink over WriteExperimentJson. The streamed form
-/// reassembles the document from the header + buffered cells, so the
-/// emitted JSON is built purely from what crossed the stream.
-class JsonSink : public ExperimentSink, public StreamingSink {
- public:
-  explicit JsonSink(std::string path) : path_(std::move(path)) {}
-
-  Status Consume(const ExperimentResult& result) override {
-    return ReplayResult(*this, result);
-  }
-
-  Status OnBegin(const ExperimentResult& header) override;
-  Status OnCell(const ExperimentCell& cell, bool restored) override;
-  Status OnEnd(const ExperimentResult& result) override;
-
- private:
-  std::string path_;
-  ExperimentResult buffered_;
 };
 
 }  // namespace crew

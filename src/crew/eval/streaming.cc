@@ -5,7 +5,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <span>
+#include <string_view>
 #include <utility>
+#include <variant>
 
 #ifdef _WIN32
 #include <io.h>
@@ -15,24 +18,98 @@
 
 #include "crew/common/logging.h"
 #include "crew/common/rng.h"
+#include "crew/common/string_util.h"
 #include "crew/explain/serialize.h"
 
 namespace crew {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Writing
+// Cell codec: every ExplainerAggregate and InstanceEvaluation field, named
+// once with its JSON key. The checkpoint writer (CellToJsonl), the
+// checkpoint reader (ParseCellRecord) and the --json aggregate writer
+// (ExperimentResultToJson) all walk these lists, so a new metric is one
+// line here and cannot drift between the three.
 // ---------------------------------------------------------------------------
 
-std::string JsonStr(const std::string& s) {
-  std::string out;
-  out += '"';
-  out += JsonEscape(s);
-  out += '"';
-  return out;
-}
+template <typename T>
+struct Field {
+  const char* key;
+  std::variant<std::string T::*, bool T::*, int T::*, double T::*,
+               FlipSetResult T::*, std::vector<double> T::*>
+      member;
+};
 
-const char* JsonBool(bool b) { return b ? "true" : "false"; }
+// Declaration order. The aggregate is checkpointed verbatim (rather than
+// re-reduced on restore) so a restored cell is bit-identical to the
+// freshly computed one even if the reduction ever changes between
+// versions. "name" stays first: the --json document skips it, because a
+// cell there is already labelled by its variant.
+constexpr Field<ExplainerAggregate> kAggregateFields[] = {
+    {"name", &ExplainerAggregate::name},
+    {"instances", &ExplainerAggregate::instances},
+    {"aopc", &ExplainerAggregate::aopc},
+    {"comprehensiveness_at_1", &ExplainerAggregate::comprehensiveness_at_1},
+    {"comprehensiveness_at_3", &ExplainerAggregate::comprehensiveness_at_3},
+    {"sufficiency_at_1", &ExplainerAggregate::sufficiency_at_1},
+    {"sufficiency_at_3", &ExplainerAggregate::sufficiency_at_3},
+    {"comprehensiveness_budget5",
+     &ExplainerAggregate::comprehensiveness_budget5},
+    {"decision_flip_rate", &ExplainerAggregate::decision_flip_rate},
+    {"insertion_aopc", &ExplainerAggregate::insertion_aopc},
+    {"flip_set_rate", &ExplainerAggregate::flip_set_rate},
+    {"flip_set_units", &ExplainerAggregate::flip_set_units},
+    {"flip_set_tokens", &ExplainerAggregate::flip_set_tokens},
+    {"total_units", &ExplainerAggregate::total_units},
+    {"effective_units", &ExplainerAggregate::effective_units},
+    {"words_per_unit", &ExplainerAggregate::words_per_unit},
+    {"semantic_coherence", &ExplainerAggregate::semantic_coherence},
+    {"attribute_purity", &ExplainerAggregate::attribute_purity},
+    {"cluster_coherence", &ExplainerAggregate::cluster_coherence},
+    {"cluster_silhouette", &ExplainerAggregate::cluster_silhouette},
+    {"mean_chosen_k", &ExplainerAggregate::mean_chosen_k},
+    {"stability", &ExplainerAggregate::stability},
+    {"surrogate_r2", &ExplainerAggregate::surrogate_r2},
+    {"runtime_ms", &ExplainerAggregate::runtime_ms},
+};
+static_assert(std::string_view(kAggregateFields[0].key) == "name");
+
+// Benches re-reduce instances after the grid runs (match/non-match splits,
+// cross-dataset summaries, paired bootstrap over per-instance AOPC), so the
+// checkpoint must carry full per-instance fidelity — an aggregate-only
+// record could not reproduce a byte-identical --json document on resume.
+constexpr Field<InstanceEvaluation> kInstanceFields[] = {
+    {"index", &InstanceEvaluation::index},
+    {"evaluated", &InstanceEvaluation::evaluated},
+    {"predicted_match", &InstanceEvaluation::predicted_match},
+    {"aopc", &InstanceEvaluation::aopc},
+    {"comprehensiveness_at_1", &InstanceEvaluation::comprehensiveness_at_1},
+    {"comprehensiveness_at_3", &InstanceEvaluation::comprehensiveness_at_3},
+    {"sufficiency_at_1", &InstanceEvaluation::sufficiency_at_1},
+    {"sufficiency_at_3", &InstanceEvaluation::sufficiency_at_3},
+    {"comprehensiveness_budget", &InstanceEvaluation::comprehensiveness_budget},
+    {"decision_flip", &InstanceEvaluation::decision_flip},
+    {"insertion_aopc", &InstanceEvaluation::insertion_aopc},
+    {"flip_set", &InstanceEvaluation::flip_set},
+    {"curve", &InstanceEvaluation::curve},
+    {"total_units", &InstanceEvaluation::total_units},
+    {"effective_units", &InstanceEvaluation::effective_units},
+    {"words_per_unit", &InstanceEvaluation::words_per_unit},
+    {"semantic_coherence", &InstanceEvaluation::semantic_coherence},
+    {"attribute_purity", &InstanceEvaluation::attribute_purity},
+    {"has_cluster_stats", &InstanceEvaluation::has_cluster_stats},
+    {"cluster_coherence", &InstanceEvaluation::cluster_coherence},
+    {"cluster_silhouette", &InstanceEvaluation::cluster_silhouette},
+    {"chosen_k", &InstanceEvaluation::chosen_k},
+    {"stability", &InstanceEvaluation::stability},
+    {"surrogate_r2", &InstanceEvaluation::surrogate_r2},
+    {"runtime_ms", &InstanceEvaluation::runtime_ms},
+};
+
+// ---------------------------------------------------------------------------
+// Writing: one AppendValue overload per type, so each record below is a
+// list of keys and values.
+// ---------------------------------------------------------------------------
 
 const char* MetricKindName(MetricKind kind) {
   switch (kind) {
@@ -53,89 +130,112 @@ Result<MetricKind> MetricKindFromName(const std::string& name) {
   return Status::DataLoss("unknown metric kind: " + name);
 }
 
-// Every ExplainerAggregate field, in declaration order. The aggregate is
-// checkpointed verbatim (rather than re-reduced on restore) so a restored
-// cell is bit-identical to the freshly computed one even if the reduction
-// ever changes between versions.
-void AppendAggregate(const ExplainerAggregate& agg, std::string* out) {
-  *out += "{\"name\":" + JsonStr(agg.name);
-  *out += ",\"instances\":" + std::to_string(agg.instances);
-  *out += ",\"aopc\":" + JsonDouble(agg.aopc);
-  *out += ",\"comprehensiveness_at_1\":" +
-          JsonDouble(agg.comprehensiveness_at_1);
-  *out += ",\"comprehensiveness_at_3\":" +
-          JsonDouble(agg.comprehensiveness_at_3);
-  *out += ",\"sufficiency_at_1\":" + JsonDouble(agg.sufficiency_at_1);
-  *out += ",\"sufficiency_at_3\":" + JsonDouble(agg.sufficiency_at_3);
-  *out += ",\"comprehensiveness_budget5\":" +
-          JsonDouble(agg.comprehensiveness_budget5);
-  *out += ",\"decision_flip_rate\":" + JsonDouble(agg.decision_flip_rate);
-  *out += ",\"insertion_aopc\":" + JsonDouble(agg.insertion_aopc);
-  *out += ",\"flip_set_rate\":" + JsonDouble(agg.flip_set_rate);
-  *out += ",\"flip_set_units\":" + JsonDouble(agg.flip_set_units);
-  *out += ",\"flip_set_tokens\":" + JsonDouble(agg.flip_set_tokens);
-  *out += ",\"total_units\":" + JsonDouble(agg.total_units);
-  *out += ",\"effective_units\":" + JsonDouble(agg.effective_units);
-  *out += ",\"words_per_unit\":" + JsonDouble(agg.words_per_unit);
-  *out += ",\"semantic_coherence\":" + JsonDouble(agg.semantic_coherence);
-  *out += ",\"attribute_purity\":" + JsonDouble(agg.attribute_purity);
-  *out += ",\"cluster_coherence\":" + JsonDouble(agg.cluster_coherence);
-  *out += ",\"cluster_silhouette\":" + JsonDouble(agg.cluster_silhouette);
-  *out += ",\"mean_chosen_k\":" + JsonDouble(agg.mean_chosen_k);
-  *out += ",\"stability\":" + JsonDouble(agg.stability);
-  *out += ",\"surrogate_r2\":" + JsonDouble(agg.surrogate_r2);
-  *out += ",\"runtime_ms\":" + JsonDouble(agg.runtime_ms);
-  *out += "}";
+template <typename T>
+void AppendFields(const T& obj, std::span<const Field<T>> fields,
+                  std::string* out);
+
+void AppendValue(const std::string& v, std::string* out) {
+  *out += '"';
+  *out += JsonEscape(v);
+  *out += '"';
+}
+void AppendValue(bool v, std::string* out) { *out += v ? "true" : "false"; }
+void AppendValue(int v, std::string* out) { *out += std::to_string(v); }
+void AppendValue(std::int64_t v, std::string* out) {
+  *out += std::to_string(v);
+}
+void AppendValue(double v, std::string* out) { *out += JsonDouble(v); }
+
+void AppendValue(const FlipSetResult& v, std::string* out) {
+  *out += "{\"flipped\":";
+  AppendValue(v.flipped, out);
+  *out += ",\"units_removed\":";
+  AppendValue(v.units_removed, out);
+  *out += ",\"tokens_removed\":";
+  AppendValue(v.tokens_removed, out);
+  *out += '}';
 }
 
-// Every InstanceEvaluation field. Benches re-reduce instances after the
-// grid runs (match/non-match splits, cross-dataset summaries, paired
-// bootstrap over per-instance AOPC), so the checkpoint must carry full
-// per-instance fidelity — an aggregate-only record could not reproduce a
-// byte-identical --json document on resume.
-void AppendInstance(const InstanceEvaluation& r, std::string* out) {
-  *out += "{\"index\":" + std::to_string(r.index);
-  *out += ",\"evaluated\":";
-  *out += JsonBool(r.evaluated);
-  *out += ",\"predicted_match\":";
-  *out += JsonBool(r.predicted_match);
-  *out += ",\"aopc\":" + JsonDouble(r.aopc);
-  *out += ",\"comprehensiveness_at_1\":" +
-          JsonDouble(r.comprehensiveness_at_1);
-  *out += ",\"comprehensiveness_at_3\":" +
-          JsonDouble(r.comprehensiveness_at_3);
-  *out += ",\"sufficiency_at_1\":" + JsonDouble(r.sufficiency_at_1);
-  *out += ",\"sufficiency_at_3\":" + JsonDouble(r.sufficiency_at_3);
-  *out += ",\"comprehensiveness_budget\":" +
-          JsonDouble(r.comprehensiveness_budget);
-  *out += ",\"decision_flip\":";
-  *out += JsonBool(r.decision_flip);
-  *out += ",\"insertion_aopc\":" + JsonDouble(r.insertion_aopc);
-  *out += ",\"flip_set\":{\"flipped\":";
-  *out += JsonBool(r.flip_set.flipped);
-  *out += ",\"units_removed\":" + std::to_string(r.flip_set.units_removed);
-  *out += ",\"tokens_removed\":" + std::to_string(r.flip_set.tokens_removed);
-  *out += "}";
-  *out += ",\"curve\":[";
-  for (size_t i = 0; i < r.curve.size(); ++i) {
-    if (i > 0) *out += ",";
-    *out += JsonDouble(r.curve[i]);
+void AppendValue(const ExplainerAggregate& v, std::string* out) {
+  AppendFields<ExplainerAggregate>(v, kAggregateFields, out);
+}
+
+void AppendValue(const InstanceEvaluation& v, std::string* out) {
+  AppendFields<InstanceEvaluation>(v, kInstanceFields, out);
+}
+
+// The same object in the checkpoint line and the --json document.
+void AppendValue(const ScoringStats& v, std::string* out) {
+  *out += "{\"predictions\":";
+  AppendValue(v.predictions, out);
+  *out += ",\"batches\":";
+  AppendValue(v.batches, out);
+  *out += ",\"materialize_ms\":";
+  AppendValue(v.materialize_ms, out);
+  *out += ",\"predict_ms\":";
+  AppendValue(v.predict_ms, out);
+  *out += '}';
+}
+
+void AppendValue(const MetricEntry& v, std::string* out) {
+  *out += "{\"name\":";
+  AppendValue(v.name, out);
+  *out += ",\"kind\":\"";
+  *out += MetricKindName(v.kind);
+  *out += "\",\"count\":";
+  AppendValue(v.count, out);
+  *out += ",\"ms\":";
+  AppendValue(v.total_ms, out);
+  *out += '}';
+}
+
+// A named value (param, metric, note) as the checkpoint's [name, value].
+template <typename V>
+void AppendValue(const std::pair<std::string, V>& v, std::string* out) {
+  *out += '[';
+  AppendValue(v.first, out);
+  *out += ',';
+  AppendValue(v.second, out);
+  *out += ']';
+}
+
+template <typename V>
+void AppendValue(const std::vector<V>& v, std::string* out) {
+  *out += '[';
+  for (size_t i = 0; i < v.size(); ++i) {
+    if (i > 0) *out += ',';
+    AppendValue(v[i], out);
   }
-  *out += "]";
-  *out += ",\"total_units\":" + JsonDouble(r.total_units);
-  *out += ",\"effective_units\":" + JsonDouble(r.effective_units);
-  *out += ",\"words_per_unit\":" + JsonDouble(r.words_per_unit);
-  *out += ",\"semantic_coherence\":" + JsonDouble(r.semantic_coherence);
-  *out += ",\"attribute_purity\":" + JsonDouble(r.attribute_purity);
-  *out += ",\"has_cluster_stats\":";
-  *out += JsonBool(r.has_cluster_stats);
-  *out += ",\"cluster_coherence\":" + JsonDouble(r.cluster_coherence);
-  *out += ",\"cluster_silhouette\":" + JsonDouble(r.cluster_silhouette);
-  *out += ",\"chosen_k\":" + std::to_string(r.chosen_k);
-  *out += ",\"stability\":" + JsonDouble(r.stability);
-  *out += ",\"surrogate_r2\":" + JsonDouble(r.surrogate_r2);
-  *out += ",\"runtime_ms\":" + JsonDouble(r.runtime_ms);
-  *out += "}";
+  *out += ']';
+}
+
+// Named values as the --json document's {"name":value,...} object.
+template <typename V>
+void AppendObject(const std::vector<std::pair<std::string, V>>& v,
+                  std::string* out) {
+  *out += '{';
+  for (size_t i = 0; i < v.size(); ++i) {
+    if (i > 0) *out += ',';
+    AppendValue(v[i].first, out);
+    *out += ':';
+    AppendValue(v[i].second, out);
+  }
+  *out += '}';
+}
+
+template <typename T>
+void AppendFields(const T& obj, std::span<const Field<T>> fields,
+                  std::string* out) {
+  *out += '{';
+  for (size_t i = 0; i < fields.size(); ++i) {
+    if (i > 0) *out += ',';
+    *out += '"';
+    *out += fields[i].key;
+    *out += "\":";
+    std::visit([&](auto member) { AppendValue(obj.*member, out); },
+               fields[i].member);
+  }
+  *out += '}';
 }
 
 // ---------------------------------------------------------------------------
@@ -347,185 +447,143 @@ class JsonParser {
 
 // -- typed field extraction (missing/mistyped fields are DataLoss) ---------
 
-Status GetField(const JsonValue& obj, const char* key, const JsonValue** out) {
-  const JsonValue* v = obj.Find(key);
-  if (v == nullptr) {
-    return Status::DataLoss(std::string("missing field: ") + key);
-  }
-  *out = v;
+template <typename V>
+Status Get(const JsonValue& obj, const char* key, V* out);
+template <typename T>
+Status ReadFields(const JsonValue& v, std::span<const Field<T>> fields,
+                  T* out);
+
+Status TypeError(const char* key, const char* what) {
+  return Status::DataLoss(std::string("field is not ") + what + ": " + key);
+}
+
+Status ReadValue(const JsonValue& v, const char* key, std::string* out) {
+  if (v.type != JsonValue::Type::kString) return TypeError(key, "a string");
+  *out = v.str;
   return Status::Ok();
 }
 
-Status GetString(const JsonValue& obj, const char* key, std::string* out) {
-  const JsonValue* v = nullptr;
-  CREW_RETURN_IF_ERROR(GetField(obj, key, &v));
-  if (v->type != JsonValue::Type::kString) {
-    return Status::DataLoss(std::string("field is not a string: ") + key);
-  }
-  *out = v->str;
-  return Status::Ok();
-}
-
-Status GetBool(const JsonValue& obj, const char* key, bool* out) {
-  const JsonValue* v = nullptr;
-  CREW_RETURN_IF_ERROR(GetField(obj, key, &v));
-  if (v->type != JsonValue::Type::kBool) {
-    return Status::DataLoss(std::string("field is not a bool: ") + key);
-  }
-  *out = v->bool_value;
+Status ReadValue(const JsonValue& v, const char* key, bool* out) {
+  if (v.type != JsonValue::Type::kBool) return TypeError(key, "a bool");
+  *out = v.bool_value;
   return Status::Ok();
 }
 
 // Numbers serialized as null are NaN (JSON cannot express non-finite
 // doubles); anything else must be a plain number.
-Status GetDouble(const JsonValue& obj, const char* key, double* out) {
-  const JsonValue* v = nullptr;
-  CREW_RETURN_IF_ERROR(GetField(obj, key, &v));
-  if (v->type == JsonValue::Type::kNull) {
+Status ReadValue(const JsonValue& v, const char* key, double* out) {
+  if (v.type == JsonValue::Type::kNull) {
     *out = std::numeric_limits<double>::quiet_NaN();
     return Status::Ok();
   }
-  if (v->type != JsonValue::Type::kNumber) {
-    return Status::DataLoss(std::string("field is not a number: ") + key);
+  if (v.type != JsonValue::Type::kNumber) return TypeError(key, "a number");
+  *out = v.number;
+  return Status::Ok();
+}
+
+// Integers must be finite, integral and in range before the cast:
+// converting any other double to an integer is undefined behaviour, and
+// the line is outside input.
+template <typename I>
+Status ReadInteger(const JsonValue& v, const char* key, I* out) {
+  const double lo = static_cast<double>(std::numeric_limits<I>::min());
+  const double d = v.number;
+  if (v.type != JsonValue::Type::kNumber || !(d >= lo && d < -lo) ||
+      std::trunc(d) != d) {
+    return TypeError(key, "an integer");
   }
-  *out = v->number;
+  *out = static_cast<I>(d);
   return Status::Ok();
 }
 
-Status GetInt(const JsonValue& obj, const char* key, int* out) {
-  double d = 0.0;
-  CREW_RETURN_IF_ERROR(GetDouble(obj, key, &d));
-  *out = static_cast<int>(d);
-  return Status::Ok();
+Status ReadValue(const JsonValue& v, const char* key, int* out) {
+  return ReadInteger(v, key, out);
 }
 
-Status GetInt64(const JsonValue& obj, const char* key, std::int64_t* out) {
-  double d = 0.0;
-  CREW_RETURN_IF_ERROR(GetDouble(obj, key, &d));
-  *out = static_cast<std::int64_t>(d);
-  return Status::Ok();
+Status ReadValue(const JsonValue& v, const char* key, std::int64_t* out) {
+  return ReadInteger(v, key, out);
 }
 
-Status GetArray(const JsonValue& obj, const char* key, const JsonValue** out) {
-  CREW_RETURN_IF_ERROR(GetField(obj, key, out));
-  if ((*out)->type != JsonValue::Type::kArray) {
-    return Status::DataLoss(std::string("field is not an array: ") + key);
+Status ReadValue(const JsonValue& v, const char* key, FlipSetResult* out) {
+  if (v.type != JsonValue::Type::kObject) return TypeError(key, "an object");
+  CREW_RETURN_IF_ERROR(Get(v, "flipped", &out->flipped));
+  CREW_RETURN_IF_ERROR(Get(v, "units_removed", &out->units_removed));
+  return Get(v, "tokens_removed", &out->tokens_removed);
+}
+
+Status ReadValue(const JsonValue& v, const char* key,
+                 ExplainerAggregate* out) {
+  (void)key;
+  return ReadFields<ExplainerAggregate>(v, kAggregateFields, out);
+}
+
+Status ReadValue(const JsonValue& v, const char* key,
+                 InstanceEvaluation* out) {
+  (void)key;
+  return ReadFields<InstanceEvaluation>(v, kInstanceFields, out);
+}
+
+Status ReadValue(const JsonValue& v, const char* key, ScoringStats* out) {
+  if (v.type != JsonValue::Type::kObject) return TypeError(key, "an object");
+  CREW_RETURN_IF_ERROR(Get(v, "predictions", &out->predictions));
+  CREW_RETURN_IF_ERROR(Get(v, "batches", &out->batches));
+  CREW_RETURN_IF_ERROR(Get(v, "materialize_ms", &out->materialize_ms));
+  return Get(v, "predict_ms", &out->predict_ms);
+}
+
+Status ReadValue(const JsonValue& v, const char* key, MetricEntry* out) {
+  if (v.type != JsonValue::Type::kObject) return TypeError(key, "an object");
+  CREW_RETURN_IF_ERROR(Get(v, "name", &out->name));
+  std::string kind;
+  CREW_RETURN_IF_ERROR(Get(v, "kind", &kind));
+  Result<MetricKind> parsed_kind = MetricKindFromName(kind);
+  if (!parsed_kind.ok()) return parsed_kind.status();
+  out->kind = *parsed_kind;
+  CREW_RETURN_IF_ERROR(Get(v, "count", &out->count));
+  return Get(v, "ms", &out->total_ms);
+}
+
+template <typename V>
+Status ReadValue(const JsonValue& v, const char* key,
+                 std::pair<std::string, V>* out) {
+  if (v.type != JsonValue::Type::kArray || v.array.size() != 2) {
+    return TypeError(key, "a [name, value] pair");
   }
-  return Status::Ok();
+  CREW_RETURN_IF_ERROR(ReadValue(v.array[0], key, &out->first));
+  return ReadValue(v.array[1], key, &out->second);
 }
 
-Status GetObject(const JsonValue& obj, const char* key,
-                 const JsonValue** out) {
-  CREW_RETURN_IF_ERROR(GetField(obj, key, out));
-  if ((*out)->type != JsonValue::Type::kObject) {
-    return Status::DataLoss(std::string("field is not an object: ") + key);
-  }
-  return Status::Ok();
-}
-
-Status ParseAggregate(const JsonValue& v, ExplainerAggregate* agg) {
-  CREW_RETURN_IF_ERROR(GetString(v, "name", &agg->name));
-  CREW_RETURN_IF_ERROR(GetInt(v, "instances", &agg->instances));
-  CREW_RETURN_IF_ERROR(GetDouble(v, "aopc", &agg->aopc));
-  CREW_RETURN_IF_ERROR(GetDouble(v, "comprehensiveness_at_1",
-                                 &agg->comprehensiveness_at_1));
-  CREW_RETURN_IF_ERROR(GetDouble(v, "comprehensiveness_at_3",
-                                 &agg->comprehensiveness_at_3));
-  CREW_RETURN_IF_ERROR(GetDouble(v, "sufficiency_at_1", &agg->sufficiency_at_1));
-  CREW_RETURN_IF_ERROR(GetDouble(v, "sufficiency_at_3", &agg->sufficiency_at_3));
-  CREW_RETURN_IF_ERROR(GetDouble(v, "comprehensiveness_budget5",
-                                 &agg->comprehensiveness_budget5));
-  CREW_RETURN_IF_ERROR(
-      GetDouble(v, "decision_flip_rate", &agg->decision_flip_rate));
-  CREW_RETURN_IF_ERROR(GetDouble(v, "insertion_aopc", &agg->insertion_aopc));
-  CREW_RETURN_IF_ERROR(GetDouble(v, "flip_set_rate", &agg->flip_set_rate));
-  CREW_RETURN_IF_ERROR(GetDouble(v, "flip_set_units", &agg->flip_set_units));
-  CREW_RETURN_IF_ERROR(GetDouble(v, "flip_set_tokens", &agg->flip_set_tokens));
-  CREW_RETURN_IF_ERROR(GetDouble(v, "total_units", &agg->total_units));
-  CREW_RETURN_IF_ERROR(GetDouble(v, "effective_units", &agg->effective_units));
-  CREW_RETURN_IF_ERROR(GetDouble(v, "words_per_unit", &agg->words_per_unit));
-  CREW_RETURN_IF_ERROR(
-      GetDouble(v, "semantic_coherence", &agg->semantic_coherence));
-  CREW_RETURN_IF_ERROR(
-      GetDouble(v, "attribute_purity", &agg->attribute_purity));
-  CREW_RETURN_IF_ERROR(
-      GetDouble(v, "cluster_coherence", &agg->cluster_coherence));
-  CREW_RETURN_IF_ERROR(
-      GetDouble(v, "cluster_silhouette", &agg->cluster_silhouette));
-  CREW_RETURN_IF_ERROR(GetDouble(v, "mean_chosen_k", &agg->mean_chosen_k));
-  CREW_RETURN_IF_ERROR(GetDouble(v, "stability", &agg->stability));
-  CREW_RETURN_IF_ERROR(GetDouble(v, "surrogate_r2", &agg->surrogate_r2));
-  CREW_RETURN_IF_ERROR(GetDouble(v, "runtime_ms", &agg->runtime_ms));
-  return Status::Ok();
-}
-
-Status ParseInstance(const JsonValue& v, InstanceEvaluation* r) {
-  CREW_RETURN_IF_ERROR(GetInt(v, "index", &r->index));
-  CREW_RETURN_IF_ERROR(GetBool(v, "evaluated", &r->evaluated));
-  CREW_RETURN_IF_ERROR(GetBool(v, "predicted_match", &r->predicted_match));
-  CREW_RETURN_IF_ERROR(GetDouble(v, "aopc", &r->aopc));
-  CREW_RETURN_IF_ERROR(
-      GetDouble(v, "comprehensiveness_at_1", &r->comprehensiveness_at_1));
-  CREW_RETURN_IF_ERROR(
-      GetDouble(v, "comprehensiveness_at_3", &r->comprehensiveness_at_3));
-  CREW_RETURN_IF_ERROR(GetDouble(v, "sufficiency_at_1", &r->sufficiency_at_1));
-  CREW_RETURN_IF_ERROR(GetDouble(v, "sufficiency_at_3", &r->sufficiency_at_3));
-  CREW_RETURN_IF_ERROR(GetDouble(v, "comprehensiveness_budget",
-                                 &r->comprehensiveness_budget));
-  CREW_RETURN_IF_ERROR(GetBool(v, "decision_flip", &r->decision_flip));
-  CREW_RETURN_IF_ERROR(GetDouble(v, "insertion_aopc", &r->insertion_aopc));
-  const JsonValue* flip = nullptr;
-  CREW_RETURN_IF_ERROR(GetObject(v, "flip_set", &flip));
-  CREW_RETURN_IF_ERROR(GetBool(*flip, "flipped", &r->flip_set.flipped));
-  CREW_RETURN_IF_ERROR(
-      GetInt(*flip, "units_removed", &r->flip_set.units_removed));
-  CREW_RETURN_IF_ERROR(
-      GetInt(*flip, "tokens_removed", &r->flip_set.tokens_removed));
-  const JsonValue* curve = nullptr;
-  CREW_RETURN_IF_ERROR(GetArray(v, "curve", &curve));
-  r->curve.clear();
-  r->curve.reserve(curve->array.size());
-  for (const JsonValue& point : curve->array) {
-    if (point.type == JsonValue::Type::kNull) {
-      r->curve.push_back(std::numeric_limits<double>::quiet_NaN());
-    } else if (point.type == JsonValue::Type::kNumber) {
-      r->curve.push_back(point.number);
-    } else {
-      return Status::DataLoss("curve element is not a number");
-    }
-  }
-  CREW_RETURN_IF_ERROR(GetDouble(v, "total_units", &r->total_units));
-  CREW_RETURN_IF_ERROR(GetDouble(v, "effective_units", &r->effective_units));
-  CREW_RETURN_IF_ERROR(GetDouble(v, "words_per_unit", &r->words_per_unit));
-  CREW_RETURN_IF_ERROR(
-      GetDouble(v, "semantic_coherence", &r->semantic_coherence));
-  CREW_RETURN_IF_ERROR(GetDouble(v, "attribute_purity", &r->attribute_purity));
-  CREW_RETURN_IF_ERROR(GetBool(v, "has_cluster_stats", &r->has_cluster_stats));
-  CREW_RETURN_IF_ERROR(
-      GetDouble(v, "cluster_coherence", &r->cluster_coherence));
-  CREW_RETURN_IF_ERROR(
-      GetDouble(v, "cluster_silhouette", &r->cluster_silhouette));
-  CREW_RETURN_IF_ERROR(GetInt(v, "chosen_k", &r->chosen_k));
-  CREW_RETURN_IF_ERROR(GetDouble(v, "stability", &r->stability));
-  CREW_RETURN_IF_ERROR(GetDouble(v, "surrogate_r2", &r->surrogate_r2));
-  CREW_RETURN_IF_ERROR(GetDouble(v, "runtime_ms", &r->runtime_ms));
-  return Status::Ok();
-}
-
-Status ParseStringPairs(
-    const JsonValue& v, const char* what,
-    std::vector<std::pair<std::string, std::string>>* out) {
-  out->clear();
-  for (const JsonValue& pair : v.array) {
-    if (pair.type != JsonValue::Type::kArray || pair.array.size() != 2 ||
-        pair.array[0].type != JsonValue::Type::kString ||
-        pair.array[1].type != JsonValue::Type::kString) {
-      return Status::DataLoss(std::string(what) +
-                              " entry is not a [string, string] pair");
-    }
-    out->emplace_back(pair.array[0].str, pair.array[1].str);
+template <typename V>
+Status ReadValue(const JsonValue& v, const char* key, std::vector<V>* out) {
+  if (v.type != JsonValue::Type::kArray) return TypeError(key, "an array");
+  out->assign(v.array.size(), V());
+  for (size_t i = 0; i < v.array.size(); ++i) {
+    CREW_RETURN_IF_ERROR(ReadValue(v.array[i], key, &(*out)[i]));
   }
   return Status::Ok();
+}
+
+template <typename T>
+Status ReadFields(const JsonValue& v, std::span<const Field<T>> fields,
+                  T* out) {
+  if (v.type != JsonValue::Type::kObject) {
+    return Status::DataLoss("record entry is not an object");
+  }
+  for (const Field<T>& field : fields) {
+    CREW_RETURN_IF_ERROR(std::visit(
+        [&](auto member) { return Get(v, field.key, &(out->*member)); },
+        field.member));
+  }
+  return Status::Ok();
+}
+
+template <typename V>
+Status Get(const JsonValue& obj, const char* key, V* out) {
+  const JsonValue* v = obj.Find(key);
+  if (v == nullptr) {
+    return Status::DataLoss(std::string("missing field: ") + key);
+  }
+  return ReadValue(*v, key, out);
 }
 
 Status FileError(const char* what, const std::string& path) {
@@ -554,6 +612,40 @@ Status WriteLine(std::FILE* f, const std::string& line,
   return FlushAndSync(f, path);
 }
 
+// Run parameters a checkpoint must share with the run resuming it. The
+// thread count is excluded: results are bit-identical at any thread count.
+std::vector<std::pair<std::string, std::string>> RunParams(
+    const std::vector<std::pair<std::string, std::string>>& params) {
+  std::vector<std::pair<std::string, std::string>> out;
+  for (const auto& param : params) {
+    if (param.first != "threads") out.push_back(param);
+  }
+  return out;
+}
+
+bool SameRunParams(
+    const std::vector<std::pair<std::string, std::string>>& a,
+    const std::vector<std::pair<std::string, std::string>>& b) {
+  return RunParams(a) == RunParams(b);
+}
+
+// "experiment 'name' (k=v, ...)" for refusal messages.
+std::string ConfigLabel(
+    const std::string& experiment,
+    const std::vector<std::pair<std::string, std::string>>& params) {
+  std::string out = "experiment '";
+  out += experiment;
+  out += "' (";
+  for (size_t i = 0; i < params.size(); ++i) {
+    if (i > 0) out += ", ";
+    out += params[i].first;
+    out += '=';
+    out += params[i].second;
+  }
+  out += ')';
+  return out;
+}
+
 }  // namespace
 
 std::string CellKey(const std::string& scope, const std::string& dataset,
@@ -574,87 +666,38 @@ std::string HeaderToJsonl(const ExperimentResult& header) {
   // (PR105651) fires on `"literal" + std::to_string(...)` chains.
   std::string out = "{\"v\":";
   out += std::to_string(kCellSchemaVersion);
-  out += ",\"kind\":\"header\"";
-  out += ",\"experiment\":";
-  out += JsonStr(header.name);
-  out += ",\"params\":[";
-  for (size_t i = 0; i < header.params.size(); ++i) {
-    if (i > 0) out += ",";
-    out += '[';
-    out += JsonStr(header.params[i].first);
-    out += ',';
-    out += JsonStr(header.params[i].second);
-    out += ']';
-  }
-  out += "]}";
+  out += ",\"kind\":\"header\",\"experiment\":";
+  AppendValue(header.name, &out);
+  out += ",\"params\":";
+  AppendValue(header.params, &out);
+  out += '}';
   return out;
 }
 
 std::string CellToJsonl(const std::string& scope, const ExperimentCell& cell) {
   std::string out = "{\"v\":";  // += throughout; see HeaderToJsonl
   out += std::to_string(kCellSchemaVersion);
-  out += ",\"kind\":\"cell\"";
-  out += ",\"scope\":";
-  out += JsonStr(scope);
+  out += ",\"kind\":\"cell\",\"scope\":";
+  AppendValue(scope, &out);
   out += ",\"dataset\":";
-  out += JsonStr(cell.dataset);
+  AppendValue(cell.dataset, &out);
   out += ",\"variant\":";
-  out += JsonStr(cell.variant);
+  AppendValue(cell.variant, &out);
   out += ",\"aggregate\":";
-  AppendAggregate(cell.aggregate, &out);
-  out += ",\"instances\":[";
-  for (size_t i = 0; i < cell.instances.size(); ++i) {
-    if (i > 0) out += ",";
-    AppendInstance(cell.instances[i], &out);
-  }
-  out += "]";
-  out += ",\"scoring\":{\"predictions\":";
-  out += std::to_string(cell.scoring.predictions);
-  out += ",\"batches\":";
-  out += std::to_string(cell.scoring.batches);
-  out += ",\"materialize_ms\":";
-  out += JsonDouble(cell.scoring.materialize_ms);
-  out += ",\"predict_ms\":";
-  out += JsonDouble(cell.scoring.predict_ms);
-  out += "}";
-  out += ",\"registry\":[";
-  for (size_t i = 0; i < cell.registry.size(); ++i) {
-    const MetricEntry& entry = cell.registry[i];
-    if (i > 0) out += ",";
-    out += "{\"name\":";
-    out += JsonStr(entry.name);
-    out += ",\"kind\":\"";
-    out += MetricKindName(entry.kind);
-    out += "\",\"count\":";
-    out += std::to_string(entry.count);
-    out += ",\"ms\":";
-    out += JsonDouble(entry.total_ms);
-    out += "}";
-  }
-  out += "]";
-  out += ",\"metrics\":[";
-  for (size_t i = 0; i < cell.metrics.size(); ++i) {
-    if (i > 0) out += ",";
-    out += '[';
-    out += JsonStr(cell.metrics[i].first);
-    out += ',';
-    out += JsonDouble(cell.metrics[i].second);
-    out += ']';
-  }
-  out += "]";
-  out += ",\"notes\":[";
-  for (size_t i = 0; i < cell.notes.size(); ++i) {
-    if (i > 0) out += ",";
-    out += '[';
-    out += JsonStr(cell.notes[i].first);
-    out += ',';
-    out += JsonStr(cell.notes[i].second);
-    out += ']';
-  }
-  out += "]";
+  AppendValue(cell.aggregate, &out);
+  out += ",\"instances\":";
+  AppendValue(cell.instances, &out);
+  out += ",\"scoring\":";
+  AppendValue(cell.scoring, &out);
+  out += ",\"registry\":";
+  AppendValue(cell.registry, &out);
+  out += ",\"metrics\":";
+  AppendValue(cell.metrics, &out);
+  out += ",\"notes\":";
+  AppendValue(cell.notes, &out);
   out += ",\"wall_ms\":";
-  out += JsonDouble(cell.wall_ms);
-  out += "}";
+  AppendValue(cell.wall_ms, &out);
+  out += '}';
   return out;
 }
 
@@ -672,75 +715,34 @@ Result<CellRecord> ParseCellRecord(const std::string& line) {
   // (kFailedPrecondition), which callers treat as fatal even on the
   // trailing line, unlike the DataLoss a torn write produces.
   const JsonValue* version = root.Find("v");
-  if (version == nullptr || version->type != JsonValue::Type::kNumber) {
+  if (version == nullptr) {
     return Status::DataLoss("record has no version field");
   }
-  record.version = static_cast<int>(version->number);
+  CREW_RETURN_IF_ERROR(ReadValue(*version, "v", &record.version));
   if (record.version != kCellSchemaVersion) {
     return Status::FailedPrecondition(
         "unsupported cell schema version " + std::to_string(record.version) +
         " (expected " + std::to_string(kCellSchemaVersion) + ")");
   }
-  CREW_RETURN_IF_ERROR(GetString(root, "kind", &record.kind));
+  CREW_RETURN_IF_ERROR(Get(root, "kind", &record.kind));
 
   if (record.kind == "header") {
-    CREW_RETURN_IF_ERROR(GetString(root, "experiment", &record.experiment));
-    const JsonValue* params = nullptr;
-    CREW_RETURN_IF_ERROR(GetArray(root, "params", &params));
-    CREW_RETURN_IF_ERROR(ParseStringPairs(*params, "params", &record.params));
+    CREW_RETURN_IF_ERROR(Get(root, "experiment", &record.experiment));
+    CREW_RETURN_IF_ERROR(Get(root, "params", &record.params));
     return record;
   }
   if (record.kind != "cell") {
     return Status::DataLoss("unknown record kind: " + record.kind);
   }
 
-  CREW_RETURN_IF_ERROR(GetString(root, "scope", &record.scope));
   ExperimentCell& cell = record.cell;
-  CREW_RETURN_IF_ERROR(GetString(root, "dataset", &cell.dataset));
-  CREW_RETURN_IF_ERROR(GetString(root, "variant", &cell.variant));
-  const JsonValue* aggregate = nullptr;
-  CREW_RETURN_IF_ERROR(GetObject(root, "aggregate", &aggregate));
-  CREW_RETURN_IF_ERROR(ParseAggregate(*aggregate, &cell.aggregate));
-  const JsonValue* instances = nullptr;
-  CREW_RETURN_IF_ERROR(GetArray(root, "instances", &instances));
-  cell.instances.clear();
-  cell.instances.reserve(instances->array.size());
-  for (const JsonValue& inst : instances->array) {
-    if (inst.type != JsonValue::Type::kObject) {
-      return Status::DataLoss("instance entry is not an object");
-    }
-    InstanceEvaluation r;
-    CREW_RETURN_IF_ERROR(ParseInstance(inst, &r));
-    cell.instances.push_back(std::move(r));
-  }
-  const JsonValue* scoring = nullptr;
-  CREW_RETURN_IF_ERROR(GetObject(root, "scoring", &scoring));
-  CREW_RETURN_IF_ERROR(
-      GetInt64(*scoring, "predictions", &cell.scoring.predictions));
-  CREW_RETURN_IF_ERROR(GetInt64(*scoring, "batches", &cell.scoring.batches));
-  CREW_RETURN_IF_ERROR(
-      GetDouble(*scoring, "materialize_ms", &cell.scoring.materialize_ms));
-  CREW_RETURN_IF_ERROR(
-      GetDouble(*scoring, "predict_ms", &cell.scoring.predict_ms));
-  const JsonValue* registry = nullptr;
-  CREW_RETURN_IF_ERROR(GetArray(root, "registry", &registry));
-  cell.registry.clear();
-  cell.registry.reserve(registry->array.size());
-  for (const JsonValue& entry : registry->array) {
-    if (entry.type != JsonValue::Type::kObject) {
-      return Status::DataLoss("registry entry is not an object");
-    }
-    MetricEntry m;
-    CREW_RETURN_IF_ERROR(GetString(entry, "name", &m.name));
-    std::string kind;
-    CREW_RETURN_IF_ERROR(GetString(entry, "kind", &kind));
-    Result<MetricKind> parsed_kind = MetricKindFromName(kind);
-    if (!parsed_kind.ok()) return parsed_kind.status();
-    m.kind = *parsed_kind;
-    CREW_RETURN_IF_ERROR(GetInt64(entry, "count", &m.count));
-    CREW_RETURN_IF_ERROR(GetDouble(entry, "ms", &m.total_ms));
-    cell.registry.push_back(std::move(m));
-  }
+  CREW_RETURN_IF_ERROR(Get(root, "scope", &record.scope));
+  CREW_RETURN_IF_ERROR(Get(root, "dataset", &cell.dataset));
+  CREW_RETURN_IF_ERROR(Get(root, "variant", &cell.variant));
+  CREW_RETURN_IF_ERROR(Get(root, "aggregate", &cell.aggregate));
+  CREW_RETURN_IF_ERROR(Get(root, "instances", &cell.instances));
+  CREW_RETURN_IF_ERROR(Get(root, "scoring", &cell.scoring));
+  CREW_RETURN_IF_ERROR(Get(root, "registry", &cell.registry));
   // Canonicalize: snapshots are name-sorted by contract, and the --metrics
   // sum as well as the "registry" JSON block iterate in stored order, so a
   // restored cell must never depend on how the shard happened to order its
@@ -749,29 +751,113 @@ Result<CellRecord> ParseCellRecord(const std::string& line) {
             [](const MetricEntry& a, const MetricEntry& b) {
               return a.name < b.name;
             });
-  const JsonValue* metrics = nullptr;
-  CREW_RETURN_IF_ERROR(GetArray(root, "metrics", &metrics));
-  cell.metrics.clear();
-  for (const JsonValue& pair : metrics->array) {
-    if (pair.type != JsonValue::Type::kArray || pair.array.size() != 2 ||
-        pair.array[0].type != JsonValue::Type::kString) {
-      return Status::DataLoss("metrics entry is not a [string, number] pair");
-    }
-    double value = 0.0;
-    if (pair.array[1].type == JsonValue::Type::kNull) {
-      value = std::numeric_limits<double>::quiet_NaN();
-    } else if (pair.array[1].type == JsonValue::Type::kNumber) {
-      value = pair.array[1].number;
-    } else {
-      return Status::DataLoss("metrics entry is not a [string, number] pair");
-    }
-    cell.metrics.emplace_back(pair.array[0].str, value);
-  }
-  const JsonValue* notes = nullptr;
-  CREW_RETURN_IF_ERROR(GetArray(root, "notes", &notes));
-  CREW_RETURN_IF_ERROR(ParseStringPairs(*notes, "notes", &cell.notes));
-  CREW_RETURN_IF_ERROR(GetDouble(root, "wall_ms", &cell.wall_ms));
+  CREW_RETURN_IF_ERROR(Get(root, "metrics", &cell.metrics));
+  CREW_RETURN_IF_ERROR(Get(root, "notes", &cell.notes));
+  CREW_RETURN_IF_ERROR(Get(root, "wall_ms", &cell.wall_ms));
   return record;
+}
+
+// ---------------------------------------------------------------------------
+// The --json document
+// ---------------------------------------------------------------------------
+
+namespace {
+
+// Registry deltas serialize as {"name":{"count":N}} for counters and
+// histogram buckets, {"name":{"count":N,"ms":X}} for durations. Snapshots
+// are already name-sorted, so the emission order is deterministic.
+void AppendRegistryObject(const MetricsSnapshot& registry, std::string* out) {
+  *out += '{';
+  for (size_t i = 0; i < registry.size(); ++i) {
+    const MetricEntry& entry = registry[i];
+    if (i > 0) *out += ',';
+    AppendValue(entry.name, out);
+    *out += ":{\"count\":";
+    AppendValue(entry.count, out);
+    if (entry.kind == MetricKind::kDuration) {
+      *out += ",\"ms\":";
+      AppendValue(entry.total_ms, out);
+    }
+    *out += '}';
+  }
+  *out += '}';
+}
+
+// The compact per-cell summary: the aggregate and the per-instance AOPC
+// (and deletion curve) samples, not the full per-instance records the
+// checkpoint carries.
+void AppendJsonCell(const ExperimentCell& cell, bool include_metrics,
+                    std::string* out) {
+  *out += "{\"dataset\":";
+  AppendValue(cell.dataset, out);
+  *out += ",\"variant\":";
+  AppendValue(cell.variant, out);
+  if (!cell.instances.empty()) {
+    *out += ",\"aggregate\":";
+    AppendFields<ExplainerAggregate>(
+        cell.aggregate, std::span(kAggregateFields).subspan(1), out);
+    std::vector<double> aopc;
+    std::vector<std::vector<double>> curves;
+    for (const InstanceEvaluation& r : cell.instances) {
+      if (!r.evaluated) continue;
+      aopc.push_back(r.aopc);
+      if (!r.curve.empty()) curves.push_back(r.curve);
+    }
+    *out += ",\"per_instance_aopc\":";
+    AppendValue(aopc, out);
+    if (!curves.empty()) {
+      *out += ",\"per_instance_curve\":";
+      AppendValue(curves, out);
+    }
+  }
+  *out += ",\"scoring\":";
+  AppendValue(cell.scoring, out);
+  *out += ",\"wall_ms\":";
+  AppendValue(cell.wall_ms, out);
+  if (include_metrics && !cell.registry.empty()) {
+    *out += ",\"registry\":";
+    AppendRegistryObject(cell.registry, out);
+  }
+  if (!cell.metrics.empty()) {
+    *out += ",\"metrics\":";
+    AppendObject(cell.metrics, out);
+  }
+  if (!cell.notes.empty()) {
+    *out += ",\"notes\":";
+    AppendObject(cell.notes, out);
+  }
+  *out += '}';
+}
+
+}  // namespace
+
+std::string ExperimentResultToJson(const ExperimentResult& result) {
+  std::string out = "{\"experiment\":";
+  AppendValue(result.name, &out);
+  out += ",\"params\":";
+  AppendObject(result.params, &out);
+  out += ",\"cells\":[";
+  for (size_t i = 0; i < result.cells.size(); ++i) {
+    if (i > 0) out += ',';
+    AppendJsonCell(result.cells[i], result.include_metrics, &out);
+  }
+  out += "]}";
+  return out;
+}
+
+Status WriteExperimentJson(const ExperimentResult& result,
+                           const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) {
+    return Status::NotFound("cannot open for writing: " + path);
+  }
+  const std::string json = ExperimentResultToJson(result);
+  const size_t written = std::fwrite(json.data(), 1, json.size(), f);
+  const bool flushed = std::fclose(f) == 0;
+  if (written != json.size() || !flushed) {
+    return Status::DataLoss("short write: " + path);
+  }
+  return Status::Ok();
 }
 
 // ---------------------------------------------------------------------------
@@ -857,12 +943,16 @@ Status CheckpointStore::Load() {
     }
     const CellRecord& record = *parsed;
     if (record.kind == "header") {
-      if (experiment_.empty()) {
+      if (!has_header_) {
         experiment_ = record.experiment;
-      } else if (experiment_ != record.experiment) {
+        params_ = record.params;
+        has_header_ = true;
+      } else if (experiment_ != record.experiment ||
+                 !SameRunParams(params_, record.params)) {
         return Status::FailedPrecondition(
-            "checkpoint mixes experiments: " + experiment_ + " vs " +
-            record.experiment + ": " + path_);
+            "checkpoint mixes configurations: " +
+            ConfigLabel(experiment_, params_) + " vs " +
+            ConfigLabel(record.experiment, record.params) + ": " + path_);
       }
     } else {
       const std::string key =
@@ -930,22 +1020,25 @@ Status CheckpointStore::Append(const std::string& scope,
 }
 
 Status CheckpointStore::WriteHeaderIfNew(const ExperimentResult& header) {
-  if (has_records_) {
-    if (experiment_.empty()) {
-      experiment_ = header.name;  // cells-only shard; adopt the name
-      return Status::Ok();
-    }
-    if (experiment_ != header.name) {
+  if (has_header_) {
+    if (experiment_ != header.name ||
+        !SameRunParams(params_, header.params)) {
       return Status::FailedPrecondition(
-          "checkpoint " + path_ + " belongs to experiment '" + experiment_ +
-          "', refusing to resume '" + header.name + "'");
+          "checkpoint " + path_ + " was written by " +
+          ConfigLabel(experiment_, params_) + ", refusing to resume " +
+          ConfigLabel(header.name, header.params));
     }
     return Status::Ok();
   }
-  CREW_RETURN_IF_ERROR(EnsureOpenForAppend());
-  CREW_RETURN_IF_ERROR(WriteLine(file_, HeaderToJsonl(header), path_));
+  if (!has_records_) {
+    CREW_RETURN_IF_ERROR(EnsureOpenForAppend());
+    CREW_RETURN_IF_ERROR(WriteLine(file_, HeaderToJsonl(header), path_));
+    has_records_ = true;
+  }
+  // A cells-only shard adopts the configuration of the run resuming it.
   experiment_ = header.name;
-  has_records_ = true;
+  params_ = header.params;
+  has_header_ = true;
   return Status::Ok();
 }
 
@@ -1061,14 +1154,6 @@ Status CellStreamer::Finish(const ExperimentResult& result) {
     CREW_RETURN_IF_ERROR(sink->OnEnd(result));
   }
   return Status::Ok();
-}
-
-Status ReplayResult(StreamingSink& sink, const ExperimentResult& result) {
-  CREW_RETURN_IF_ERROR(sink.OnBegin(result));
-  for (const ExperimentCell& cell : result.cells) {
-    CREW_RETURN_IF_ERROR(sink.OnCell(cell, /*restored=*/false));
-  }
-  return sink.OnEnd(result);
 }
 
 }  // namespace crew

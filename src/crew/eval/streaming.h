@@ -44,17 +44,30 @@ struct CellRecord {
   ExperimentCell cell;
 };
 
-/// Parses one line of the stream. Any malformed JSON, missing field, or
-/// version mismatch is an error; the caller decides whether the line's
-/// position (trailing vs interior) makes that recoverable.
+/// Parses one line of the stream. Any malformed JSON, missing or mistyped
+/// field (an integer field holding a fraction, a non-finite or an
+/// out-of-range value included), or version mismatch is an error; the
+/// caller decides whether the line's position (trailing vs interior) makes
+/// that recoverable.
 Result<CellRecord> ParseCellRecord(const std::string& line);
 
-/// Structured consumer of cells *as they finish* — the streaming
-/// counterpart of ExperimentSink. The runner calls OnBegin once before the
-/// first cell, OnCell for every cell in completion order (restored = the
-/// cell was read back from a checkpoint rather than computed), and OnEnd
-/// with the assembled result. Default implementations make every hook
-/// optional except OnCell.
+/// Serializes the result as the compact self-describing --json document:
+/// params, and per cell its aggregate (the same field list as the
+/// checkpoint line, minus the name), per-instance AOPC samples and
+/// deletion curves, scoring counters, registry delta (when
+/// include_metrics), extra metrics and notes. It is far smaller than the
+/// checkpoint records, which carry every per-instance field.
+std::string ExperimentResultToJson(const ExperimentResult& result);
+
+/// Writes ExperimentResultToJson to `path`.
+Status WriteExperimentJson(const ExperimentResult& result,
+                           const std::string& path);
+
+/// Structured consumer of cells *as they finish*. The grid executor
+/// (RunGrid) calls OnBegin once before the first cell, OnCell for every
+/// cell in completion order (restored = the cell was read back from a
+/// checkpoint rather than computed), and OnEnd with the assembled result.
+/// Default implementations make every hook optional except OnCell.
 class StreamingSink {
  public:
   virtual ~StreamingSink() = default;
@@ -115,7 +128,8 @@ class CheckpointStore {
 
   /// Reads the existing file, if any. A missing file is an empty
   /// checkpoint, a torn trailing line is dropped with a warning, and any
-  /// interior corruption or schema-version mismatch is an error.
+  /// interior corruption or schema-version mismatch is an error. The
+  /// header's experiment name and params are kept for WriteHeaderIfNew.
   Status Load();
 
   /// True when Load() saw a complete record for this key (or a fresh cell
@@ -130,8 +144,11 @@ class CheckpointStore {
   /// existing checkpoint never duplicates lines.
   Status Append(const std::string& scope, const ExperimentCell& cell);
 
-  /// Writes the header line if the file has no records yet; otherwise
-  /// verifies the stored experiment name matches.
+  /// Writes the header line if the file has no records yet. Otherwise the
+  /// stored experiment name and params must match `header`'s — all params
+  /// except "threads", which cannot change a result — or the resume is
+  /// refused with FailedPrecondition: a checkpoint of another
+  /// configuration must not fill this run's table.
   Status WriteHeaderIfNew(const ExperimentResult& header);
 
   /// Number of completed cells known to the store.
@@ -143,7 +160,10 @@ class CheckpointStore {
   Status EnsureOpenForAppend();
 
   std::string path_;
-  std::string experiment_;  // from the stored header, if any
+  // From the stored header, if any.
+  bool has_header_ = false;
+  std::string experiment_;
+  std::vector<std::pair<std::string, std::string>> params_;
   bool has_records_ = false;
   // Sorted map so every iteration over restored cells is deterministic.
   std::map<std::string, ExperimentCell> cells_;
@@ -202,10 +222,10 @@ class FaultInjector {
   bool hard_ = false;
 };
 
-/// Shared per-cell sequencing used by the runner and by benches that build
-/// cells directly (t1/t2): checkpoint restore/skip, fan-out to streaming
-/// sinks, fsync'd append of fresh cells, and the fault-injection window.
-/// Usage:
+/// Per-cell sequencing behind the grid executor (RunGrid): checkpoint
+/// restore/skip, fan-out to streaming sinks, fsync'd append of fresh
+/// cells, and the fault-injection window. Experiments use RunGrid rather
+/// than driving this directly. Usage:
 ///
 ///   CellStreamer streamer(hooks);
 ///   CREW_RETURN_IF_ERROR(streamer.Begin(header, total_cells));
@@ -240,12 +260,6 @@ class CellStreamer {
  private:
   const RunHooks& hooks_;
 };
-
-/// Replays a finished result through a streaming sink: OnBegin, every cell
-/// in order, OnEnd. This is how the one-shot ExperimentSink adapters
-/// (TableSink/JsonSink) consume results — one code path for streamed and
-/// batch emission.
-Status ReplayResult(StreamingSink& sink, const ExperimentResult& result);
 
 }  // namespace crew
 

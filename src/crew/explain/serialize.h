@@ -8,15 +8,11 @@
 
 namespace crew {
 
-/// Escapes a string for inclusion in a JSON document (quotes, backslashes,
-/// control characters).
-std::string JsonEscape(const std::string& s);
-
 /// Formats a double as a JSON number that round-trips bit-exactly (%.17g).
 /// Non-finite values, which JSON cannot represent, degrade to "null";
-/// readers map null back to NaN. Every CREW serializer (batch sinks and
-/// the streaming JSONL layer) uses this one formatter so the two paths
-/// are byte-identical by construction.
+/// readers map null back to NaN. Every CREW serializer (the --json
+/// document and the JSONL checkpoint lines) uses this one formatter so the
+/// two are byte-identical by construction.
 std::string JsonDouble(double v);
 
 /// Serializes a word-level explanation as a self-describing JSON object:

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "crew/data/generator.h"
+#include "crew/eval/runner.h"
 #include "crew/explain/lime.h"
 #include "crew/explain/random_explainer.h"
 #include "test_util.h"
@@ -119,9 +120,10 @@ TEST(ExplainAsUnitsTest, CrewYieldsClustersOthersSingletons) {
   // "anchor" and "b" occur on both sides, so WYM can form paired units.
   const RecordPair pair = MakePair("anchor a b c", "d e", "anchor b h", "i");
   for (const auto& explainer : suite) {
-    auto result = ExplainAsUnits(*explainer, matcher, pair, 4);
+    auto result = ExplainAsUnitsEx(*explainer, matcher, pair, 4);
     ASSERT_TRUE(result.ok()) << explainer->Name();
-    const auto& [words, units] = result.value();
+    const auto& words = result->words;
+    const auto& units = result->units;
     if (explainer->Name() == "crew" || explainer->Name() == "wym") {
       EXPECT_LT(units.size(), words.attributions.size())
           << explainer->Name();
@@ -142,16 +144,16 @@ TEST(EvaluateExplainerTest, AggregatesAreFinite) {
   const auto idx = SelectExplainInstances(matcher, dataset, 4, rng);
   ASSERT_FALSE(idx.empty());
   for (const auto& explainer : suite) {
-    auto agg =
-        EvaluateExplainerOnDataset(*explainer, matcher, dataset, idx,
-                                   nullptr, 9);
-    ASSERT_TRUE(agg.ok()) << explainer->Name();
-    EXPECT_EQ(agg->instances, static_cast<int>(idx.size()));
-    EXPECT_GE(agg->total_units, 1.0);
-    EXPECT_TRUE(std::isfinite(agg->aopc));
-    EXPECT_TRUE(std::isfinite(agg->comprehensiveness_at_1));
-    EXPECT_GE(agg->decision_flip_rate, 0.0);
-    EXPECT_LE(agg->decision_flip_rate, 1.0);
+    auto records =
+        EvaluateInstances(*explainer, matcher, dataset, idx, nullptr, 9);
+    ASSERT_TRUE(records.ok()) << explainer->Name();
+    const auto agg = ReduceInstances(explainer->Name(), *records);
+    EXPECT_EQ(agg.instances, static_cast<int>(idx.size()));
+    EXPECT_GE(agg.total_units, 1.0);
+    EXPECT_TRUE(std::isfinite(agg.aopc));
+    EXPECT_TRUE(std::isfinite(agg.comprehensiveness_at_1));
+    EXPECT_GE(agg.decision_flip_rate, 0.0);
+    EXPECT_LE(agg.decision_flip_rate, 1.0);
   }
 }
 
@@ -165,12 +167,13 @@ TEST(EvaluateExplainerTest, OracleBeatsRandomOnAopc) {
   lime_config.perturbation.num_samples = 128;
   LimeExplainer lime(lime_config);
   RandomExplainer random;
-  auto lime_agg =
-      EvaluateExplainerOnDataset(lime, matcher, dataset, idx, nullptr, 11);
-  auto random_agg = EvaluateExplainerOnDataset(random, matcher, dataset, idx,
-                                               nullptr, 11);
-  ASSERT_TRUE(lime_agg.ok() && random_agg.ok());
-  EXPECT_GE(lime_agg->aopc, random_agg->aopc);
+  auto lime_records =
+      EvaluateInstances(lime, matcher, dataset, idx, nullptr, 11);
+  auto random_records =
+      EvaluateInstances(random, matcher, dataset, idx, nullptr, 11);
+  ASSERT_TRUE(lime_records.ok() && random_records.ok());
+  EXPECT_GE(ReduceInstances("lime", *lime_records).aopc,
+            ReduceInstances("random", *random_records).aopc);
 }
 
 }  // namespace

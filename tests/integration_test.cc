@@ -9,6 +9,7 @@
 #include "crew/data/benchmark_suite.h"
 #include "crew/data/csv.h"
 #include "crew/eval/experiment.h"
+#include "crew/eval/runner.h"
 #include "crew/eval/stability.h"
 
 namespace crew {
@@ -46,9 +47,9 @@ TEST(IntegrationTest, FullSuiteExplainsRealPrediction) {
                                          f.pipeline.train, config);
   const RecordPair& pair = f.pipeline.test.pair(0);
   for (const auto& explainer : suite) {
-    auto units = ExplainAsUnits(*explainer, *f.pipeline.matcher, pair, 13);
+    auto units = ExplainAsUnitsEx(*explainer, *f.pipeline.matcher, pair, 13);
     ASSERT_TRUE(units.ok()) << explainer->Name();
-    EXPECT_FALSE(units->second.empty()) << explainer->Name();
+    EXPECT_FALSE(units->units.empty()) << explainer->Name();
   }
 }
 
@@ -84,12 +85,12 @@ TEST(IntegrationTest, CrewFaithfulnessBeatsRandom) {
                                          f.pipeline.train, config);
   double crew_aopc = 0.0, random_aopc = 0.0;
   for (const auto& explainer : suite) {
-    auto agg = EvaluateExplainerOnDataset(*explainer, matcher,
-                                          f.pipeline.test, idx,
-                                          f.pipeline.embeddings.get(), 23);
-    ASSERT_TRUE(agg.ok()) << explainer->Name();
-    if (explainer->Name() == "crew") crew_aopc = agg->aopc;
-    if (explainer->Name() == "random") random_aopc = agg->aopc;
+    auto records = EvaluateInstances(*explainer, matcher, f.pipeline.test,
+                                     idx, f.pipeline.embeddings.get(), 23);
+    ASSERT_TRUE(records.ok()) << explainer->Name();
+    const double aopc = ReduceInstances(explainer->Name(), *records).aopc;
+    if (explainer->Name() == "crew") crew_aopc = aopc;
+    if (explainer->Name() == "random") random_aopc = aopc;
   }
   EXPECT_GT(crew_aopc, random_aopc);
 }

@@ -52,11 +52,11 @@ BenchmarkEntry TinyEntry(const std::string& name, uint64_t seed) {
 // 2 datasets x 2 variants = a 4-cell grid, small enough to rerun many
 // times but wide enough that kill points 1..3 leave a genuinely partial
 // checkpoint.
-ExperimentRunner MakeRunner() {
+ExperimentRunner MakeRunner(MatcherKind matcher = MatcherKind::kLogistic) {
   ExperimentSpec spec;
   spec.name = "resume_grid";
   spec.datasets = {TinyEntry("tiny-a", 3), TinyEntry("tiny-b", 4)};
-  spec.matcher = MatcherKind::kLogistic;
+  spec.matcher = matcher;
   spec.instances_per_dataset = 2;
   spec.seed = 7;
   spec.suite = [](const TrainedPipeline&) {
@@ -230,6 +230,51 @@ TEST(ResumeTest, CheckpointFromDifferentExperimentIsRefused) {
   auto result = MakeRunner().Run(hooks);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
+  std::remove(path.c_str());
+}
+
+TEST(ResumeTest, CheckpointFromDifferentParamsIsRefusedButThreadsMayDiffer) {
+  // The header records matcher / instances / seed / threads. Resuming
+  // under another matcher must be refused before any cell is restored or
+  // appended; a different thread count cannot change a result, so it is
+  // accepted and the resumed grid equals a clean run at that count.
+  ScopedStableTiming stable;
+  const std::string path = CheckpointPath("params");
+  std::remove(path.c_str());
+  {
+    ScopedScoringThreads scoped(1);
+    CheckpointStore checkpoint(path);
+    ASSERT_TRUE(checkpoint.Load().ok());
+    FaultInjector fault;
+    fault.ArmAfterCells(1);
+    RunHooks hooks;
+    hooks.checkpoint = &checkpoint;
+    hooks.fault = &fault;
+    ASSERT_FALSE(MakeRunner().Run(hooks).ok());
+  }
+  {
+    CheckpointStore checkpoint(path);
+    ASSERT_TRUE(checkpoint.Load().ok());
+    RunHooks hooks;
+    hooks.checkpoint = &checkpoint;
+    auto result = MakeRunner(MatcherKind::kRandomForest).Run(hooks);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
+    EXPECT_NE(result.status().ToString().find("matcher=logistic"),
+              std::string::npos);
+    EXPECT_EQ(checkpoint.done_cells(), 1);
+  }
+  ScopedScoringThreads scoped(2);
+  auto clean = MakeRunner().Run();
+  ASSERT_TRUE(clean.ok());
+  CheckpointStore checkpoint(path);
+  ASSERT_TRUE(checkpoint.Load().ok());
+  RunHooks hooks;
+  hooks.checkpoint = &checkpoint;
+  auto resumed = MakeRunner().Run(hooks);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  EXPECT_EQ(checkpoint.done_cells(), 4);
+  EXPECT_EQ(ExperimentResultToJson(*resumed), ExperimentResultToJson(*clean));
   std::remove(path.c_str());
 }
 

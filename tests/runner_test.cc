@@ -1,8 +1,8 @@
 // Tests for the instance-parallel evaluation runner: sharding must be
 // invisible (bit-identical records and aggregates for any --threads
-// value), the refactored EvaluateExplainerOnDataset must match the
-// historical serial loop exactly, and the ExperimentRunner grid + JSON
-// sink must produce well-formed structured results.
+// value), EvaluateInstances + ReduceInstances must match the historical
+// serial loop exactly, and the grid executor + JSON writer must produce
+// well-formed structured results.
 
 #include "crew/eval/runner.h"
 
@@ -21,6 +21,7 @@
 #include "crew/eval/comprehensibility.h"
 #include "crew/eval/faithfulness.h"
 #include "crew/eval/sinks.h"
+#include "crew/eval/streaming.h"
 #include "crew/explain/lime.h"
 #include "crew/explain/random_explainer.h"
 #include "crew/model/trainer.h"
@@ -209,11 +210,10 @@ TEST(EvaluateInstancesTest, SeedDerivationIsPerIndexNotPerPosition) {
   }
 }
 
-TEST(EvaluateExplainerOnDatasetTest, MatchesSerialReferenceImplementation) {
+TEST(ReduceInstancesTest, MatchesSerialReferenceImplementation) {
   // The historical implementation, verbatim: one serial loop accumulating
-  // sums in instance order, scaled at the end. The refactored
-  // EvaluateExplainerOnDataset (sharded EvaluateInstances + deterministic
-  // reduction) must reproduce it bit for bit.
+  // sums in instance order, scaled at the end. Sharded EvaluateInstances
+  // plus the deterministic ReduceInstances must reproduce it bit for bit.
   const Dataset dataset = SmallDataset();
   TokenWeightMatcher matcher({{"vortexa", 1.0}, {"lumenix", 0.7}}, -0.2);
   const auto idx = SomeInstances(matcher, dataset, 6);
@@ -229,11 +229,11 @@ TEST(EvaluateExplainerOnDatasetTest, MatchesSerialReferenceImplementation) {
   Tokenizer tokenizer;
   for (int i : idx) {
     const RecordPair& pair = dataset.pair(i);
-    auto explained = ExplainAsUnits(lime, matcher, pair,
-                                    seed ^ (static_cast<uint64_t>(i) << 20));
+    auto explained = ExplainAsUnitsEx(lime, matcher, pair,
+                                      seed ^ (static_cast<uint64_t>(i) << 20));
     ASSERT_TRUE(explained.ok());
-    const WordExplanation& words = explained->first;
-    const std::vector<ExplanationUnit>& units = explained->second;
+    const WordExplanation& words = explained->words;
+    const std::vector<ExplanationUnit>& units = explained->units;
     if (units.empty()) continue;
     EvalInstance instance{PairTokenView(AnonymousSchema(pair), tokenizer,
                                         pair),
@@ -279,27 +279,31 @@ TEST(EvaluateExplainerOnDatasetTest, MatchesSerialReferenceImplementation) {
 
   for (int threads : {1, 4}) {
     ScopedScoringThreads scoped(threads);
-    std::vector<double> per_instance;
-    auto agg = EvaluateExplainerOnDataset(lime, matcher, dataset, idx,
-                                          nullptr, seed, &per_instance);
-    ASSERT_TRUE(agg.ok()) << "threads=" << threads;
+    auto records =
+        EvaluateInstances(lime, matcher, dataset, idx, nullptr, seed);
+    ASSERT_TRUE(records.ok()) << "threads=" << threads;
     SCOPED_TRACE("threads=" + std::to_string(threads));
+    std::vector<double> per_instance;
+    for (const InstanceEvaluation& r : *records) {
+      if (r.evaluated) per_instance.push_back(r.aopc);
+    }
+    const auto agg = ReduceInstances(lime.Name(), *records);
     EXPECT_EQ(per_instance, reference_aopc);
-    EXPECT_EQ(agg->instances, reference.instances);
-    EXPECT_EQ(agg->aopc, reference.aopc);
-    EXPECT_EQ(agg->comprehensiveness_at_1, reference.comprehensiveness_at_1);
-    EXPECT_EQ(agg->comprehensiveness_at_3, reference.comprehensiveness_at_3);
-    EXPECT_EQ(agg->sufficiency_at_1, reference.sufficiency_at_1);
-    EXPECT_EQ(agg->sufficiency_at_3, reference.sufficiency_at_3);
-    EXPECT_EQ(agg->comprehensiveness_budget5,
+    EXPECT_EQ(agg.instances, reference.instances);
+    EXPECT_EQ(agg.aopc, reference.aopc);
+    EXPECT_EQ(agg.comprehensiveness_at_1, reference.comprehensiveness_at_1);
+    EXPECT_EQ(agg.comprehensiveness_at_3, reference.comprehensiveness_at_3);
+    EXPECT_EQ(agg.sufficiency_at_1, reference.sufficiency_at_1);
+    EXPECT_EQ(agg.sufficiency_at_3, reference.sufficiency_at_3);
+    EXPECT_EQ(agg.comprehensiveness_budget5,
               reference.comprehensiveness_budget5);
-    EXPECT_EQ(agg->decision_flip_rate, reference.decision_flip_rate);
-    EXPECT_EQ(agg->total_units, reference.total_units);
-    EXPECT_EQ(agg->effective_units, reference.effective_units);
-    EXPECT_EQ(agg->words_per_unit, reference.words_per_unit);
-    EXPECT_EQ(agg->semantic_coherence, reference.semantic_coherence);
-    EXPECT_EQ(agg->attribute_purity, reference.attribute_purity);
-    EXPECT_EQ(agg->surrogate_r2, reference.surrogate_r2);
+    EXPECT_EQ(agg.decision_flip_rate, reference.decision_flip_rate);
+    EXPECT_EQ(agg.total_units, reference.total_units);
+    EXPECT_EQ(agg.effective_units, reference.effective_units);
+    EXPECT_EQ(agg.words_per_unit, reference.words_per_unit);
+    EXPECT_EQ(agg.semantic_coherence, reference.semantic_coherence);
+    EXPECT_EQ(agg.attribute_purity, reference.attribute_purity);
+    EXPECT_EQ(agg.surrogate_r2, reference.surrogate_r2);
   }
 }
 
@@ -528,32 +532,55 @@ TEST(ExperimentRunnerTest, RegistryDeltaAgreesWithScoringStats) {
   EXPECT_EQ(wall->count, 3);
 }
 
-TEST(ExperimentRunnerTest, RunWithAppendsCustomCells) {
-  ExperimentSpec spec;
-  spec.name = "custom";
-  spec.datasets = {TinyEntry("tiny", 3)};
-  spec.matcher = MatcherKind::kLogistic;
-  spec.instances_per_dataset = 2;
-  ExperimentRunner runner(std::move(spec));
-  auto result = runner.RunWith(
-      [](const PreparedDataset& prepared, ExperimentResult* out) -> Status {
-        ExperimentCell cell;
-        cell.dataset = prepared.name;
-        cell.variant = "custom";
-        cell.metrics.push_back(
-            {"instances", static_cast<double>(prepared.instances.size())});
-        cell.notes.push_back({"note", "value"});
-        out->cells.push_back(std::move(cell));
-        return Status::Ok();
-      });
-  ASSERT_TRUE(result.ok());
-  ASSERT_EQ(result->cells.size(), 1u);
-  EXPECT_EQ(result->cells[0].dataset, "tiny");
-  EXPECT_EQ(result->cells[0].metrics[0].second, 2.0);
-  // Metric/note cells serialize without an aggregate block.
-  const std::string json = ExperimentResultToJson(*result);
-  EXPECT_EQ(json.find("\"aggregate\""), std::string::npos);
-  EXPECT_NE(json.find("\"notes\""), std::string::npos);
+TEST(RunGridTest, CheckpointedCustomTasksAreNeverRecomputed) {
+  // Custom tasks (t1/t2/t7-style cells) run once; a rerun over the full
+  // checkpoint restores every cell without calling compute at all.
+  const std::string path = ::testing::TempDir() + "/run_grid_custom.jsonl";
+  std::remove(path.c_str());
+  int computed = 0;
+  auto compute = [&computed]() -> Result<ExperimentCell> {
+    ++computed;
+    ExperimentCell cell;
+    cell.metrics.push_back({"instances", 2.0});
+    cell.notes.push_back({"note", "value"});
+    return cell;
+  };
+  const std::vector<GridTask> tasks = {{"tiny-a", "custom", compute},
+                                       {"tiny-b", "custom", compute}};
+  ExperimentResult header;
+  header.name = "custom";
+  header.params.push_back({"seed", "7"});
+
+  std::string first_json;
+  {
+    CheckpointStore checkpoint(path);
+    ASSERT_TRUE(checkpoint.Load().ok());
+    RunHooks hooks;
+    hooks.checkpoint = &checkpoint;
+    auto result = RunGrid(header, tasks, hooks);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(computed, 2);
+    ASSERT_EQ(result->cells.size(), 2u);
+    EXPECT_EQ(result->cells[0].dataset, "tiny-a");
+    EXPECT_EQ(result->cells[1].dataset, "tiny-b");
+    EXPECT_EQ(result->cells[1].variant, "custom");
+    EXPECT_EQ(result->cells[0].metrics[0].second, 2.0);
+    first_json = ExperimentResultToJson(*result);
+    // Metric/note cells serialize without an aggregate block.
+    EXPECT_EQ(first_json.find("\"aggregate\""), std::string::npos);
+    EXPECT_NE(first_json.find("\"notes\""), std::string::npos);
+  }
+
+  CheckpointStore checkpoint(path);
+  ASSERT_TRUE(checkpoint.Load().ok());
+  EXPECT_EQ(checkpoint.done_cells(), 2);
+  RunHooks hooks;
+  hooks.checkpoint = &checkpoint;
+  auto resumed = RunGrid(header, tasks, hooks);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  EXPECT_EQ(computed, 2);  // zero compute calls on the rerun
+  EXPECT_EQ(ExperimentResultToJson(*resumed), first_json);
+  std::remove(path.c_str());
 }
 
 TEST(SinksTest, TableColumnsFormatCells) {

@@ -11,8 +11,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "crew/common/logging.h"
@@ -168,6 +170,73 @@ TEST(CellJsonlTest, GarbageIsDataLoss) {
   EXPECT_EQ(record.status().code(), StatusCode::kDataLoss);
 }
 
+// The golden line with one field's value replaced.
+std::string WithField(const std::string& line, const std::string& from,
+                      const std::string& to) {
+  const size_t at = line.find(from);
+  CREW_CHECK(at != std::string::npos);
+  std::string out = line;
+  out.replace(at, from.size(), to);
+  return out;
+}
+
+TEST(CellJsonlTest, IntegerFieldsRejectNonIntegers) {
+  const std::string good = CellToJsonl("s", SampleCell());
+  ASSERT_TRUE(ParseCellRecord(good).ok());
+  // null (NaN), huge, fractional and out-of-range values would all be
+  // undefined behaviour to cast to an int; each is refused as DataLoss.
+  for (const auto& [from, to] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"\"chosen_k\":0", "\"chosen_k\":null"},
+           {"\"index\":3", "\"index\":1e300"},
+           {"\"index\":3", "\"index\":3.5"},
+           {"\"index\":3", "\"index\":-2147483649"},
+           {"\"instances\":1", "\"instances\":2147483648"},
+           {"\"units_removed\":0", "\"units_removed\":null"},
+           {"\"predictions\":4", "\"predictions\":9.3e18"},
+           {"\"count\":2", "\"count\":1e19"},
+           {"\"v\":1", "\"v\":1e300"},
+       }) {
+    SCOPED_TRACE(to);
+    auto record = ParseCellRecord(WithField(good, from, to));
+    ASSERT_FALSE(record.ok());
+    EXPECT_EQ(record.status().code(), StatusCode::kDataLoss);
+  }
+  // The largest values each integer type holds still parse.
+  auto edge = ParseCellRecord(
+      WithField(WithField(good, "\"index\":3", "\"index\":2147483647"),
+                "\"count\":2", "\"count\":-9223372036854775808"));
+  ASSERT_TRUE(edge.ok()) << edge.status().ToString();
+  EXPECT_EQ(edge->cell.instances[0].index, 2147483647);
+  EXPECT_EQ(edge->cell.registry[0].count, INT64_MIN);
+}
+
+TEST(CellJsonlTest, EveryByteFlipAndTruncationParsesOrFails) {
+  // Property: a damaged line never crashes the reader or reaches undefined
+  // behaviour (the sanitizer build runs this); it either parses to a cell
+  // that re-serializes stably, or returns an error. Every strict prefix is
+  // an error.
+  const std::string good = CellToJsonl("s", SampleCell());
+  auto check = [](const std::string& line) {
+    auto record = ParseCellRecord(line);
+    if (!record.ok()) return;
+    const std::string again = CellToJsonl(record->scope, record->cell);
+    auto reparsed = ParseCellRecord(again);
+    ASSERT_TRUE(reparsed.ok()) << line;
+    EXPECT_EQ(CellToJsonl(reparsed->scope, reparsed->cell), again) << line;
+  };
+  for (size_t i = 0; i < good.size(); ++i) {
+    for (const unsigned mask : {0x01u, 0x02u, 0x04u, 0x08u, 0x10u, 0x20u,
+                                0x40u, 0x80u, 0xffu}) {
+      std::string flipped = good;
+      flipped[i] = static_cast<char>(static_cast<unsigned char>(good[i]) ^
+                                     mask);
+      check(flipped);
+    }
+    EXPECT_FALSE(ParseCellRecord(good.substr(0, i)).ok()) << i;
+  }
+}
+
 TEST(JsonlStreamSinkTest, AppendsHeaderThenCellsInOrder) {
   const std::string path = TempPath("stream_order.jsonl");
   std::remove(path.c_str());
@@ -285,6 +354,24 @@ TEST(CheckpointStoreTest, InteriorCorruptionIsAnError) {
   std::remove(path.c_str());
 }
 
+TEST(CheckpointStoreTest, CorruptedInteriorCellLineIsDataLoss) {
+  // A complete, terminated line whose integer field was damaged: not a
+  // torn tail, so the whole load is refused rather than the cell dropped.
+  const std::string path = TempPath("ckpt_interior_field.jsonl");
+  const std::string cell = CellToJsonl("", SampleCell());
+  ExperimentCell other = SampleCell();
+  other.variant = "w";
+  WriteFileOrDie(path, HeaderToJsonl(SampleHeader()) + "\n" +
+                           WithField(cell, "\"chosen_k\":0",
+                                     "\"chosen_k\":null") +
+                           "\n" + CellToJsonl("", other) + "\n");
+  CheckpointStore store(path);
+  const Status status = store.Load();
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss);
+  std::remove(path.c_str());
+}
+
 TEST(CheckpointStoreTest, VersionMismatchIsFatalEvenOnTheLastLine) {
   const std::string path = TempPath("ckpt_version.jsonl");
   WriteFileOrDie(path, HeaderToJsonl(SampleHeader()) + "\n" +
@@ -341,31 +428,19 @@ TEST(FaultInjectorTest, SeedArmingIsDeterministicAndInRange) {
   }
 }
 
-TEST(ReplayResultTest, TableSinkConsumeMatchesStreamedCells) {
-  // The one-shot adapters replay through the streaming interface, so a
-  // manual OnBegin/OnCell/OnEnd drive must render the same table as
-  // Consume().
+TEST(PrintResultTableTest, PrintsTheTableThenTheMetricsBlock) {
   ExperimentResult result;
-  result.name = "replay";
+  result.name = "print";
   result.cells.push_back(SampleCell());
   ExperimentCell second = SampleCell();
   second.variant = "w";
   result.cells.push_back(second);
 
-  auto render = [&](bool streamed) {
+  auto render = [&] {
     std::FILE* out = std::tmpfile();
     CREW_CHECK(out != nullptr);
-    TableSink sink({AggColumn("aopc", &ExplainerAggregate::aopc)},
-                   /*dataset_column=*/true, /*variant_column=*/true, out);
-    if (streamed) {
-      CREW_CHECK(sink.OnBegin(result).ok());
-      for (const ExperimentCell& cell : result.cells) {
-        CREW_CHECK(sink.OnCell(cell, false).ok());
-      }
-      CREW_CHECK(sink.OnEnd(result).ok());
-    } else {
-      CREW_CHECK(sink.Consume(result).ok());
-    }
+    PrintResultTable(result, {AggColumn("aopc", &ExplainerAggregate::aopc)},
+                     /*dataset_column=*/true, /*variant_column=*/true, out);
     std::rewind(out);
     std::string text;
     char buffer[4096];
@@ -376,9 +451,18 @@ TEST(ReplayResultTest, TableSinkConsumeMatchesStreamedCells) {
     std::fclose(out);
     return text;
   };
-  const std::string batch = render(false);
-  EXPECT_EQ(batch, render(true));
-  EXPECT_NE(batch.find("0.25"), std::string::npos);
+  const std::string plain = render();
+  EXPECT_NE(plain.find("0.25"), std::string::npos);
+  EXPECT_EQ(plain.find("-- metrics"), std::string::npos);
+
+  // Under --metrics the block follows the table, summing both cells'
+  // registry deltas ("m" counted 2 + 2).
+  result.include_metrics = true;
+  const std::string with_metrics = render();
+  EXPECT_EQ(with_metrics.rfind(plain, 0), 0u);
+  const size_t block = with_metrics.find("-- metrics (summed over cells) --");
+  ASSERT_NE(block, std::string::npos);
+  EXPECT_NE(with_metrics.find(" 4 ", block), std::string::npos);
 }
 
 }  // namespace

@@ -75,5 +75,14 @@ TEST(StringUtilTest, ParseInt) {
   EXPECT_FALSE(ParseInt("99999999999999", &v));  // overflow
 }
 
+TEST(JsonEscapeTest, SpecialCharacters) {
+  EXPECT_EQ(JsonEscape("plain"), "plain");
+  EXPECT_EQ(JsonEscape("say \"hi\""), "say \\\"hi\\\"");
+  EXPECT_EQ(JsonEscape("a\\b"), "a\\\\b");
+  EXPECT_EQ(JsonEscape("line1\nline2"), "line1\\nline2");
+  EXPECT_EQ(JsonEscape("tab\there"), "tab\\there");
+  EXPECT_EQ(JsonEscape(std::string("ctl\x01x")), "ctl\\u0001x");
+}
+
 }  // namespace
 }  // namespace crew

@@ -10,7 +10,8 @@ The merge is deterministic: cells are emitted sorted by (scope, dataset,
 variant), under a single header, regardless of shard order or completion
 order inside a shard. Validation refuses:
   * any line whose schema version is not the expected one;
-  * shards whose headers name different experiments;
+  * shards whose headers name different experiments, or record different
+    params (all but "threads", which cannot change a result);
   * the same cell key appearing twice with *different* payloads (identical
     duplicates — a cell both checkpointed and re-streamed — are deduped
     with a warning).
@@ -49,6 +50,21 @@ def cell_key(record):
     return f"{prefix}{record['dataset']}|{record['variant']}"
 
 
+def run_params(header):
+    """The header params a merged grid must agree on: all but threads."""
+    return [p for p in header.get("params", []) if p[0] != "threads"]
+
+
+def same_config(a, b):
+    return (a["experiment"] == b["experiment"] and
+            run_params(a) == run_params(b))
+
+
+def config_label(header):
+    params = ", ".join(f"{k}={v}" for k, v in header.get("params", []))
+    return f"'{header['experiment']}' ({params})"
+
+
 def parse_shard(path, text):
     """Returns (header_record_or_None, {key: (record, line)}) for one shard."""
     header = None
@@ -84,10 +100,10 @@ def parse_shard(path, text):
                 raise MergeError(f"{path}:{i + 1}: header has no experiment")
             if header is None:
                 header = record
-            elif header["experiment"] != record["experiment"]:
+            elif not same_config(header, record):
                 raise MergeError(
-                    f"{path}:{i + 1}: shard mixes experiments "
-                    f"'{header['experiment']}' vs '{record['experiment']}'")
+                    f"{path}:{i + 1}: shard mixes configurations "
+                    f"{config_label(header)} vs {config_label(record)}")
         elif kind == "cell":
             if torn:
                 # Parsed fine but the line never got its newline: treat as
@@ -112,7 +128,7 @@ def parse_shard(path, text):
 
 def merge(paths):
     """Returns (header_line, [cell_line...]) merged across shards."""
-    experiment = None
+    first_header = None
     header_line = None
     merged = {}
     for path in paths:
@@ -123,13 +139,13 @@ def merge(paths):
             raise MergeError(f"{path}: {e}")
         header, cells = parse_shard(path, text)
         if header is not None:
-            if experiment is None:
-                experiment = header["experiment"]
+            if first_header is None:
+                first_header = header
                 header_line = json.dumps(header, separators=(",", ":"))
-            elif experiment != header["experiment"]:
+            elif not same_config(first_header, header):
                 raise MergeError(
-                    f"{path}: experiment '{header['experiment']}' does not "
-                    f"match '{experiment}' from earlier shards")
+                    f"{path}: configuration {config_label(header)} does not "
+                    f"match {config_label(first_header)} from earlier shards")
         for key, (record, line) in cells.items():
             if key in merged and merged[key][0] != record:
                 raise MergeError(
@@ -183,9 +199,10 @@ def run(argv, out=sys.stdout):
 # Self-test (run as a ctest: merge_cells.py --self-test)
 # ---------------------------------------------------------------------------
 
-def _header(experiment="exp"):
+def _header(experiment="exp", params=()):
     return json.dumps({"v": 1, "kind": "header", "experiment": experiment,
-                       "params": []}, separators=(",", ":"))
+                       "params": [list(p) for p in params]},
+                      separators=(",", ":"))
 
 
 def _cell(dataset, variant, scope="", aopc=0.0):
@@ -259,6 +276,30 @@ def self_test():
                       _header("another") + "\n" + _cell("d9", "v9") + "\n")
         _expect_raises(lambda: run(["--check", a, exp2], out=io.StringIO()),
                        "does not match")
+
+        # Mixed params are refused, across shards and inside one shard;
+        # only the thread count may differ.
+        mlp = _write(tmp, "mlp.jsonl",
+                     _header(params=[("matcher", "mlp"), ("threads", "1")]) +
+                     "\n" + _cell("d1", "v1") + "\n")
+        logistic = _write(tmp, "logistic.jsonl",
+                          _header(params=[("matcher", "logistic"),
+                                          ("threads", "1")]) +
+                          "\n" + _cell("d2", "v1") + "\n")
+        _expect_raises(lambda: run(["--check", mlp, logistic],
+                                   out=io.StringIO()),
+                       "does not match")
+        mixed = _write(tmp, "mixed.jsonl",
+                       _header(params=[("matcher", "mlp")]) + "\n" +
+                       _header(params=[("matcher", "logistic")]) + "\n")
+        _expect_raises(lambda: run(["--check", mixed], out=io.StringIO()),
+                       "mixes configurations")
+        mlp4 = _write(tmp, "mlp4.jsonl",
+                      _header(params=[("matcher", "mlp"), ("threads", "4")]) +
+                      "\n" + _cell("d2", "v1") + "\n")
+        out = io.StringIO()
+        run(["--check", mlp, mlp4], out=out)
+        assert "2 cell(s)" in out.getvalue(), out.getvalue()
 
         # Version mismatch is fatal anywhere.
         vbad = _write(tmp, "vbad.jsonl",
