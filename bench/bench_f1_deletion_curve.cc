@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
   auto spec = crew::bench::SpecFromOptions("f1_deletion_curve", options);
   spec.eval.curve_fractions = fractions;
   crew::ExperimentRunner runner(std::move(spec));
-  const auto setup = crew::bench::MakeStreamSetup(options);
+  auto setup = crew::bench::ValueOrDie(crew::MakeStreamSetup(options.run));
   auto result = runner.Run(setup.hooks);
   crew::bench::DieIfError(result.status());
 

@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
     return suite;
   };
   crew::ExperimentRunner runner(std::move(spec));
-  const auto setup = crew::bench::MakeStreamSetup(options);
+  auto setup = crew::bench::ValueOrDie(crew::MakeStreamSetup(options.run));
   auto result = runner.Run(setup.hooks);
   crew::bench::DieIfError(result.status());
 

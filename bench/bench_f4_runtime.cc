@@ -21,28 +21,23 @@
 #include "bench_util.h"
 #include "crew/common/string_util.h"
 
-namespace {
-
-std::vector<int> ParseSweep(const std::string& arg) {
-  std::vector<int> out;
-  for (const std::string& part : crew::Split(arg, ',')) {
-    const int v = std::atoi(part.c_str());
-    if (v > 0) out.push_back(v);
-  }
-  if (out.empty()) {
-    std::fprintf(stderr, "bad --sweep list: %s\n", arg.c_str());
-    std::exit(1);
-  }
-  return out;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  crew::FlagParser flags(argc, argv);
-  auto options = crew::bench::BenchOptions::Parse(argc, argv);
-  const std::vector<int> sweep =
-      ParseSweep(flags.GetString("sweep", "32,64,128,256,512,1024"));
+  crew::bench::BenchOptions options;
+  std::string sweep_list = "32,64,128,256,512,1024";
+  crew::FlagParser flags;
+  options.Declare(flags);
+  flags.Add("sweep", &sweep_list, "comma-separated perturbation budgets");
+  flags.ParseOrExit(argc, argv);
+  std::vector<int> sweep;
+  for (const std::string& part : crew::Split(sweep_list, ',')) {
+    int budget = 0;
+    if (!crew::ParseInt(part, &budget) || budget <= 0) {
+      flags.ExitWithUsage(crew::Status::InvalidArgument(
+          "--sweep entry '" + part + "' is not a positive integer"));
+    }
+    sweep.push_back(budget);
+  }
+  options.run.Apply();
   if (options.dataset.empty()) {
     options.dataset = "products-structured";  // one dataset suffices here
   }
@@ -50,7 +45,7 @@ int main(int argc, char** argv) {
       "== F4: explanation runtime vs perturbation samples ==\n"
       "matcher=%s dataset=%s instances=%d threads=%d (0 = hardware: %d)\n\n",
       options.matcher.c_str(), options.dataset.c_str(), options.instances,
-      options.threads, crew::HardwareThreads());
+      options.run.threads, crew::HardwareThreads());
 
   auto base_spec = crew::bench::SpecFromOptions("f4_runtime", options);
   auto prepared = crew::PrepareDataset(base_spec.datasets[0], base_spec);
@@ -62,7 +57,7 @@ int main(int argc, char** argv) {
   // checkpoint/shard, disambiguated by a per-point "samples=N" scope. The
   // "samples" metric is stamped after the runner returns, so fresh and
   // restored cells take the same path and resumed JSON stays identical.
-  const auto setup = crew::bench::MakeStreamSetup(options);
+  auto setup = crew::bench::ValueOrDie(crew::MakeStreamSetup(options.run));
   crew::ExperimentResult result;
   result.name = base_spec.name;
   for (int samples : sweep) {

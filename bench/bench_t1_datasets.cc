@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
     };
     tasks.push_back({entry.name, "stats", compute});
   }
-  const auto setup = crew::bench::MakeStreamSetup(options);
+  auto setup = crew::bench::ValueOrDie(crew::MakeStreamSetup(options.run));
   auto result = crew::RunGrid(std::move(header), tasks, setup.hooks);
   crew::bench::DieIfError(result.status());
 

@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
       tasks.push_back({entries[d].name, crew::MatcherKindName(kind), compute});
     }
   }
-  const auto setup = crew::bench::MakeStreamSetup(options);
+  auto setup = crew::bench::ValueOrDie(crew::MakeStreamSetup(options.run));
   auto result = crew::RunGrid(std::move(header), tasks, setup.hooks);
   crew::bench::DieIfError(result.status());
 

@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
 
   crew::ExperimentRunner runner(
       crew::bench::SpecFromOptions("t4_suff_compr", options));
-  const auto setup = crew::bench::MakeStreamSetup(options);
+  auto setup = crew::bench::ValueOrDie(crew::MakeStreamSetup(options.run));
   auto result = runner.Run(setup.hooks);
   crew::bench::DieIfError(result.status());
 

@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
 
   crew::ExperimentRunner runner(
       crew::bench::SpecFromOptions("t5_comprehensibility", options));
-  const auto setup = crew::bench::MakeStreamSetup(options);
+  auto setup = crew::bench::ValueOrDie(crew::MakeStreamSetup(options.run));
   auto result = runner.Run(setup.hooks);
   crew::bench::DieIfError(result.status());
 

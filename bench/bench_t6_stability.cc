@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
   spec.eval.stability_seeds = seeds;
   spec.eval.stability_top_k = top_k;
   crew::ExperimentRunner runner(std::move(spec));
-  const auto setup = crew::bench::MakeStreamSetup(options);
+  auto setup = crew::bench::ValueOrDie(crew::MakeStreamSetup(options.run));
   auto result = runner.Run(setup.hooks);
   crew::bench::DieIfError(result.status());
 

@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
     };
     tasks.push_back({entry.name, "crew-global", compute});
   }
-  const auto setup = crew::bench::MakeStreamSetup(options);
+  auto setup = crew::bench::ValueOrDie(crew::MakeStreamSetup(options.run));
   auto result =
       crew::RunGrid(crew::ExperimentHeader(spec), tasks, setup.hooks);
   crew::bench::DieIfError(result.status());

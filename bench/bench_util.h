@@ -3,23 +3,37 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "crew/common/flags.h"
 #include "crew/common/thread_pool.h"
-#include "crew/common/trace.h"
 #include "crew/data/benchmark_suite.h"
 #include "crew/eval/experiment.h"
+#include "crew/eval/run_control.h"
 #include "crew/eval/runner.h"
 #include "crew/eval/sinks.h"
-#include "crew/eval/streaming.h"
 #include "crew/eval/table.h"
 #include "crew/model/trainer.h"
 
 namespace crew::bench {
+
+/// Dies with a message when `status` is not OK (bench binaries have no
+/// recovery path).
+inline void DieIfError(const Status& status) {
+  if (!status.ok()) {
+    std::fprintf(stderr, "%s\n", status.ToString().c_str());
+    std::exit(1);
+  }
+}
+
+/// DieIfError for a Result; returns its value.
+template <typename T>
+T ValueOrDie(Result<T> result) {
+  DieIfError(result.status());
+  return std::move(result).value();
+}
 
 /// Shared experiment knobs parsed from the command line; every bench binary
 /// accepts the same flags so sweeps are scriptable.
@@ -31,56 +45,30 @@ struct BenchOptions {
   uint64_t seed = 7;
   std::string matcher = "mlp";
   std::string dataset;   ///< empty = all nine
-  int threads = 0;       ///< scoring threads; 0 = hardware, 1 = legacy serial
-  std::string json;      ///< non-empty: also write the ExperimentResult here
-  std::string trace;     ///< non-empty: record spans, write Chrome trace here
-  bool metrics = false;  ///< emit the per-cell metrics-registry breakdown
-  double progress = 1.0; ///< seconds between progress heartbeats; <=0 = off
-  // Streaming / crash-recovery knobs (see DESIGN.md "Streaming & resume").
-  std::string resume;    ///< non-empty: checkpoint path; skip done cells
-  std::string stream;    ///< non-empty: stream per-cell JSONL shard here
-  int fail_after_cells = -1;  ///< >= 0: inject a deterministic fault
-  bool stable_timing = false; ///< zero wall-derived outputs (byte-stable)
-  bool live_table = false;    ///< re-render a partial table per cell
+  RunControl run;
 
-  static BenchOptions Parse(int argc, char** argv) {
-    FlagParser flags(argc, argv);
-    if (!flags.status().ok()) {
-      std::fprintf(stderr, "%s\n", flags.status().ToString().c_str());
-      std::exit(1);
-    }
-    BenchOptions o;
-    o.matches = flags.GetInt("matches", o.matches);
-    o.nonmatches = flags.GetInt("nonmatches", o.nonmatches);
-    o.instances = flags.GetInt("instances", o.instances);
-    o.samples = flags.GetInt("samples", o.samples);
-    o.seed = flags.GetUint64("seed", o.seed);
-    o.matcher = flags.GetString("matcher", o.matcher);
-    o.dataset = flags.GetString("dataset", o.dataset);
-    o.threads = flags.GetInt("threads", o.threads);
-    o.json = flags.GetString("json", o.json);
-    o.trace = flags.GetString("trace", o.trace);
-    o.metrics = flags.GetBool("metrics", o.metrics);
-    o.progress = flags.GetDouble("progress", o.progress);
-    o.resume = flags.GetString("resume", o.resume);
-    o.stream = flags.GetString("stream", o.stream);
-    o.fail_after_cells =
-        flags.GetInt("fail-after-cells", o.fail_after_cells);
-    o.stable_timing = flags.GetBool("stable-timing", o.stable_timing);
-    o.live_table = flags.GetBool("live-table", o.live_table);
-    SetScoringThreads(o.threads);
-    SetProgressInterval(o.progress);
-    SetTracingEnabled(!o.trace.empty());
-    SetStableTiming(o.stable_timing);
-    return o;
+  /// Declares the experiment knobs and the run-control flags on `flags`.
+  void Declare(FlagParser& flags) {
+    flags.Add("matches", &matches, "matching pairs per dataset");
+    flags.Add("nonmatches", &nonmatches, "non-matching pairs per dataset");
+    flags.Add("instances", &instances, "explained pairs per dataset");
+    flags.Add("samples", &samples, "perturbation samples per explanation");
+    flags.Add("seed", &seed, "base seed of data, training and explanation");
+    flags.Add("matcher", &matcher,
+              "logistic, mlp, embedding_bag, random_forest or rule");
+    flags.Add("dataset", &dataset, "one benchmark dataset; empty = all nine");
+    run.Declare(flags);
   }
 
-  MatcherKind MatcherKindOrDie() const {
-    for (MatcherKind kind : AllMatcherKinds()) {
-      if (matcher == MatcherKindName(kind)) return kind;
-    }
-    std::fprintf(stderr, "unknown matcher: %s\n", matcher.c_str());
-    std::exit(1);
+  /// The declared flags of a bench without flags of its own; a usage
+  /// error exits 2 before any work.
+  static BenchOptions Parse(int argc, char** argv) {
+    BenchOptions o;
+    FlagParser flags;
+    o.Declare(flags);
+    flags.ParseOrExit(argc, argv);
+    o.run.Apply();
+    return o;
   }
 
   std::vector<BenchmarkEntry> Datasets() const {
@@ -95,56 +83,6 @@ struct BenchOptions {
   }
 };
 
-/// Dies with a message when `status` is not OK (bench binaries have no
-/// recovery path).
-inline void DieIfError(const Status& status) {
-  if (!status.ok()) {
-    std::fprintf(stderr, "%s\n", status.ToString().c_str());
-    std::exit(1);
-  }
-}
-
-/// Owns the streaming/restart plumbing assembled from the shared flags —
-/// checkpoint store (--resume, loaded eagerly), JSONL shard sink
-/// (--stream), live partial table (--live-table), and fault injector
-/// (--fail-after-cells / CREW_FAULT_SEED / CREW_FAULT_HARD) — and exposes
-/// them as the RunHooks view ExperimentRunner consumes. The hooks hold raw
-/// pointers into this struct, so keep it alive for the whole run.
-struct StreamSetup {
-  std::unique_ptr<CheckpointStore> checkpoint;
-  std::unique_ptr<JsonlStreamSink> stream;
-  std::unique_ptr<PartialTableSink> live;
-  std::unique_ptr<FaultInjector> fault;
-  RunHooks hooks;
-};
-
-inline StreamSetup MakeStreamSetup(const BenchOptions& options,
-                                   std::string scope = std::string()) {
-  StreamSetup s;
-  s.hooks.scope = scope;
-  if (!options.resume.empty()) {
-    s.checkpoint = std::make_unique<CheckpointStore>(options.resume);
-    DieIfError(s.checkpoint->Load());
-    s.hooks.checkpoint = s.checkpoint.get();
-    if (s.checkpoint->done_cells() > 0) {
-      std::fprintf(stderr, "[resume] %s: %d cell(s) restored\n",
-                   options.resume.c_str(), s.checkpoint->done_cells());
-    }
-  }
-  if (!options.stream.empty()) {
-    s.stream =
-        std::make_unique<JsonlStreamSink>(options.stream, std::move(scope));
-    s.hooks.sinks.push_back(s.stream.get());
-  }
-  if (options.live_table) {
-    s.live = std::make_unique<PartialTableSink>();
-    s.hooks.sinks.push_back(s.live.get());
-  }
-  s.fault = FaultInjector::FromFlagsAndEnv(options.fail_after_cells);
-  if (s.fault != nullptr) s.hooks.fault = s.fault.get();
-  return s;
-}
-
 /// ExperimentSpec over the shared flags with the standard explainer
 /// line-up; benches tweak the returned spec (eval knobs, custom suites)
 /// before handing it to ExperimentRunner.
@@ -153,7 +91,7 @@ inline ExperimentSpec SpecFromOptions(std::string name,
   ExperimentSpec spec;
   spec.name = std::move(name);
   spec.datasets = options.Datasets();
-  spec.matcher = options.MatcherKindOrDie();
+  spec.matcher = ValueOrDie(MatcherKindFromName(options.matcher));
   spec.instances_per_dataset = options.instances;
   spec.seed = options.seed;
   spec.suite = [samples = options.samples](const TrainedPipeline& pipeline) {
@@ -179,27 +117,6 @@ inline ExperimentResult SummaryAcrossDatasets(const ExperimentResult& result) {
   return summary;
 }
 
-/// Writes the Chrome trace when --trace=<file> was given. Runs after the
-/// tables so the trace covers the full experiment.
-inline void EmitTraceIfRequested(const BenchOptions& options) {
-  if (options.trace.empty()) return;
-  const size_t events = CollectTraceEvents().size();
-  DieIfError(WriteChromeTrace(options.trace));
-  std::printf("wrote %s (%zu trace events, %lld overwritten)\n",
-              options.trace.c_str(), events,
-              static_cast<long long>(TraceDroppedEvents()));
-}
-
-/// The --json / --trace legs of every bench's emit path.
-inline void WriteJsonAndTrace(const ExperimentResult& result,
-                              const BenchOptions& options) {
-  if (!options.json.empty()) {
-    DieIfError(WriteExperimentJson(result, options.json));
-    std::printf("wrote %s\n", options.json.c_str());
-  }
-  EmitTraceIfRequested(options);
-}
-
 /// Standard emit path of every bench: print the cell grid as an aligned
 /// table (plus the --metrics block) and honour --json / --trace. Takes the
 /// result by mutable reference to stamp include_metrics first.
@@ -208,18 +125,18 @@ inline void EmitExperiment(ExperimentResult& result,
                            const std::vector<TableColumn>& columns,
                            bool dataset_column = true,
                            bool variant_column = true) {
-  result.include_metrics = options.metrics;
+  result.include_metrics = options.run.metrics;
   PrintResultTable(result, columns, dataset_column, variant_column);
-  WriteJsonAndTrace(result, options);
+  DieIfError(WriteJsonAndTrace(result, options.run));
 }
 
 /// Emit path for benches that already printed custom tables: the
 /// --metrics block and the --json / --trace legs only.
 inline void EmitJsonIfRequested(ExperimentResult& result,
                                 const BenchOptions& options) {
-  result.include_metrics = options.metrics;
+  result.include_metrics = options.run.metrics;
   PrintMetricsBlock(result);
-  WriteJsonAndTrace(result, options);
+  DieIfError(WriteJsonAndTrace(result, options.run));
 }
 
 }  // namespace crew::bench

@@ -16,8 +16,10 @@
 #include "crew/explain/serialize.h"
 
 int main(int argc, char** argv) {
-  crew::FlagParser flags(argc, argv);
-  const uint64_t seed = flags.GetUint64("seed", 7);
+  uint64_t seed = 7;
+  crew::FlagParser flags;
+  flags.Add("seed", &seed, "base seed of data, training and explanation");
+  flags.ParseOrExit(argc, argv);
 
   auto dataset = crew::GenerateByName("biblio-dirty", seed);
   if (!dataset.ok()) {

@@ -17,10 +17,12 @@
 #include "crew/model/trainer.h"
 
 int main(int argc, char** argv) {
-  crew::FlagParser flags(argc, argv);
-  const std::string dataset_name =
-      flags.GetString("dataset", "restaurants-dirty");
-  const uint64_t seed = flags.GetUint64("seed", 7);
+  std::string dataset_name = "restaurants-dirty";
+  uint64_t seed = 7;
+  crew::FlagParser flags;
+  flags.Add("dataset", &dataset_name, "benchmark dataset to block and match");
+  flags.Add("seed", &seed, "base seed of data, training and explanation");
+  flags.ParseOrExit(argc, argv);
 
   auto dataset = crew::GenerateByName(dataset_name, seed);
   if (!dataset.ok()) {

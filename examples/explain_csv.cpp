@@ -5,7 +5,7 @@
 // the requested test pair. With --export, writes JSON to stdout instead.
 //
 //   ./examples/explain_csv --csv pairs.csv [--pair 0] [--matcher mlp]
-//                          [--export] [--seed 7]
+//                          [--samples 192] [--export] [--seed 7]
 //
 // Without --csv it demonstrates itself on a generated dataset written to a
 // temporary file first (so the example is runnable out of the box).
@@ -20,13 +20,21 @@
 #include "crew/model/trainer.h"
 
 int main(int argc, char** argv) {
-  crew::FlagParser flags(argc, argv);
-  if (!flags.status().ok()) {
-    std::fprintf(stderr, "%s\n", flags.status().ToString().c_str());
-    return 1;
-  }
-  const uint64_t seed = flags.GetUint64("seed", 7);
-  std::string csv_path = flags.GetString("csv", "");
+  std::string csv_path;
+  int pair_index = 0;
+  std::string matcher_name = "mlp";
+  int samples = 192;
+  bool export_json = false;
+  uint64_t seed = 7;
+  crew::FlagParser flags;
+  flags.Add("csv", &csv_path, "DeepMatcher-style pairs CSV; empty = demo");
+  flags.Add("pair", &pair_index, "test-split pair to explain");
+  flags.Add("matcher", &matcher_name,
+            "logistic, mlp, embedding_bag, random_forest or rule");
+  flags.Add("samples", &samples, "perturbation samples for CREW");
+  flags.Add("export", &export_json, "print the explanation as JSON");
+  flags.Add("seed", &seed, "base seed of data, training and explanation");
+  flags.ParseOrExit(argc, argv);
 
   if (csv_path.empty()) {
     // Self-demo: materialize a benchmark dataset as a CSV file.
@@ -51,29 +59,18 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Resolve the matcher kind by name.
-  const std::string matcher_name = flags.GetString("matcher", "mlp");
-  crew::MatcherKind kind = crew::MatcherKind::kMlp;
-  bool found = false;
-  for (crew::MatcherKind k : crew::AllMatcherKinds()) {
-    if (matcher_name == crew::MatcherKindName(k)) {
-      kind = k;
-      found = true;
-    }
-  }
-  if (!found) {
-    std::fprintf(stderr, "unknown --matcher %s\n", matcher_name.c_str());
+  auto kind = crew::MatcherKindFromName(matcher_name);
+  if (!kind.ok()) {
+    std::fprintf(stderr, "%s\n", kind.status().ToString().c_str());
     return 1;
   }
-
-  auto pipeline = crew::TrainPipeline(dataset.value(), kind, 0.7, seed);
+  auto pipeline = crew::TrainPipeline(dataset.value(), *kind, 0.7, seed);
   if (!pipeline.ok()) {
     std::fprintf(stderr, "%s\n", pipeline.status().ToString().c_str());
     return 1;
   }
   const auto& p = pipeline.value();
 
-  const int pair_index = flags.GetInt("pair", 0);
   if (pair_index < 0 || pair_index >= p.test.size()) {
     std::fprintf(stderr, "--pair out of range (test split has %d pairs)\n",
                  p.test.size());
@@ -82,7 +79,7 @@ int main(int argc, char** argv) {
   const crew::RecordPair& pair = p.test.pair(pair_index);
 
   crew::CrewConfig config;
-  config.importance.perturbation.num_samples = flags.GetInt("samples", 192);
+  config.importance.perturbation.num_samples = samples;
   crew::CrewExplainer explainer(p.embeddings, config);
   auto clusters = explainer.ExplainClusters(*p.matcher, pair, seed);
   if (!clusters.ok()) {
@@ -90,7 +87,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  if (flags.GetBool("export", false)) {
+  if (export_json) {
     std::printf("%s\n",
                 crew::ClusterExplanationToJson(clusters.value()).c_str());
     return 0;

@@ -62,9 +62,13 @@ void ExplainOnePair(const crew::TrainedPipeline& pipeline,
 }  // namespace
 
 int main(int argc, char** argv) {
-  crew::FlagParser flags(argc, argv);
-  const std::string flavor = flags.GetString("flavor", "dirty");
-  const uint64_t seed = flags.GetUint64("seed", 7);
+  std::string flavor = "dirty";
+  uint64_t seed = 7;
+  crew::FlagParser flags;
+  flags.Add("flavor", &flavor, "products dataset flavour: structured, "
+            "textual or dirty");
+  flags.Add("seed", &seed, "base seed of data, training and explanation");
+  flags.ParseOrExit(argc, argv);
 
   auto dataset = crew::GenerateByName("products-" + flavor, seed);
   if (!dataset.ok()) {

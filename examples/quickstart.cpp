@@ -13,14 +13,12 @@
 #include "crew/model/trainer.h"
 
 int main(int argc, char** argv) {
-  crew::FlagParser flags(argc, argv);
-  if (!flags.status().ok()) {
-    std::fprintf(stderr, "%s\n", flags.status().ToString().c_str());
-    return 1;
-  }
-  const std::string dataset_name =
-      flags.GetString("dataset", "products-structured");
-  const uint64_t seed = flags.GetUint64("seed", 7);
+  std::string dataset_name = "products-structured";
+  uint64_t seed = 7;
+  crew::FlagParser flags;
+  flags.Add("dataset", &dataset_name, "benchmark dataset to explain");
+  flags.Add("seed", &seed, "base seed of data, training and explanation");
+  flags.ParseOrExit(argc, argv);
 
   // 1. Data: a synthetic Magellan-style benchmark with known ground truth.
   auto dataset = crew::GenerateByName(dataset_name, seed);

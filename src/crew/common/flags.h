@@ -1,39 +1,56 @@
 #ifndef CREW_COMMON_FLAGS_H_
 #define CREW_COMMON_FLAGS_H_
 
-#include <map>
+#include <cstdint>
 #include <string>
-#include <string_view>
+#include <variant>
+#include <vector>
 
 #include "crew/common/status.h"
 
 namespace crew {
 
-/// Minimal command-line flag parser for the bench/example binaries.
+/// Strict command-line parser over a table of declared flags. Each flag
+/// binds a name to a variable whose value at declaration is the default:
 ///
-/// Accepts `--name=value` and `--name value`; bare `--name` sets "true".
-/// Unknown positional arguments are an error. Example:
+///   int samples = 256;
+///   FlagParser flags;
+///   flags.Add("samples", &samples, "perturbation samples per explanation");
+///   flags.ParseOrExit(argc, argv);
 ///
-///   FlagParser flags(argc, argv);
-///   int samples = flags.GetInt("samples", 256);
-///   uint64_t seed = flags.GetUint64("seed", 7);
+/// Accepts `--name=value` and `--name value`; a bare `--name` sets a bool
+/// flag to true. Anything else is a usage error: a positional argument, an
+/// undeclared name (`--help` included), a value that does not parse in full
+/// for its type, a bool value other than true/false/1/0/yes/no, or a
+/// non-bool flag without a value.
 class FlagParser {
  public:
-  FlagParser(int argc, char** argv);
+  using Target = std::variant<int*, uint64_t*, double*, bool*, std::string*>;
 
-  /// Non-OK if the command line was malformed.
-  const Status& status() const { return status_; }
+  /// Declares `--name`, bound to `value`; its current value is the default.
+  void Add(std::string name, Target value, std::string help);
 
-  bool Has(std::string_view name) const;
-  std::string GetString(std::string_view name, std::string_view def) const;
-  int GetInt(std::string_view name, int def) const;
-  double GetDouble(std::string_view name, double def) const;
-  bool GetBool(std::string_view name, bool def) const;
-  uint64_t GetUint64(std::string_view name, uint64_t def) const;
+  /// Assigns each flag on the command line to its variable; on a usage
+  /// error returns InvalidArgument naming the offending argument.
+  Status Parse(int argc, const char* const* argv) const;
+
+  /// The declared flags, one per line: name, type, help and default.
+  std::string Usage() const;
+
+  /// Parse, or ExitWithUsage on a usage error.
+  void ParseOrExit(int argc, const char* const* argv) const;
+
+  /// Prints `reason` and Usage() to stderr and exits with status 2.
+  [[noreturn]] void ExitWithUsage(const Status& reason) const;
 
  private:
-  std::map<std::string, std::string, std::less<>> values_;
-  Status status_;
+  struct Flag {
+    std::string name;
+    Target target;
+    std::string default_value;
+    std::string help;
+  };
+  std::vector<Flag> flags_;
 };
 
 }  // namespace crew

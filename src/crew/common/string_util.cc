@@ -1,6 +1,7 @@
 #include "crew/common/string_util.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -138,6 +139,17 @@ bool ParseInt(std::string_view s, int* out) {
   if (errno != 0 || end != buf.c_str() + buf.size()) return false;
   if (v < -2147483648L || v > 2147483647L) return false;
   *out = static_cast<int>(v);
+  return true;
+}
+
+bool ParseUint64(std::string_view s, uint64_t* out) {
+  s = StripWhitespace(s);
+  // from_chars reads no sign, so "-1" is refused rather than wrapped.
+  uint64_t v = 0;
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, v);
+  if (ec != std::errc() || ptr != end) return false;
+  *out = v;
   return true;
 }
 

@@ -1,6 +1,7 @@
 #ifndef CREW_COMMON_STRING_UTIL_H_
 #define CREW_COMMON_STRING_UTIL_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -33,9 +34,13 @@ std::string StrPrintf(const char* fmt, ...) __attribute__((format(printf, 1, 2))
 /// control characters). The one escaper every CREW JSON writer uses.
 std::string JsonEscape(const std::string& s);
 
-/// Parses a double / int; returns false on malformed input or trailing junk.
+/// Parses a double / int / unsigned 64-bit integer; returns false on
+/// malformed input, trailing junk or overflow. Surrounding whitespace is
+/// ignored. ParseUint64 refuses any sign, so "-1" never wraps. These are
+/// the project's only number parsers (crew-lint `lenient-number-parse`).
 bool ParseDouble(std::string_view s, double* out);
 bool ParseInt(std::string_view s, int* out);
+bool ParseUint64(std::string_view s, uint64_t* out);
 
 }  // namespace crew
 

@@ -1,7 +1,5 @@
 #include "crew/embed/cooccurrence.h"
 
-#include <algorithm>
-
 namespace crew {
 
 Corpus BuildCorpus(const Dataset& dataset, const Tokenizer& tokenizer) {
@@ -12,37 +10,6 @@ Corpus BuildCorpus(const Dataset& dataset, const Tokenizer& tokenizer) {
     corpus.push_back(FlattenTokens(tokenizer, dataset.schema(), pair.right));
   }
   return corpus;
-}
-
-void CooccurrenceCounter::AddSentence(
-    const std::vector<std::string>& sentence) {
-  // Map to ids first, dropping OOV tokens.
-  std::vector<int> ids;
-  ids.reserve(sentence.size());
-  for (const auto& tok : sentence) {
-    const int id = vocab_.GetId(tok);
-    if (id >= 0) ids.push_back(id);
-  }
-  const int n = static_cast<int>(ids.size());
-  for (int c = 0; c < n; ++c) {
-    const int hi = std::min(n - 1, c + window_);
-    for (int j = c + 1; j <= hi; ++j) {
-      if (ids[c] == ids[j]) continue;
-      counts_[Key(ids[c], ids[j])] += 1;
-      marginals_[ids[c]] += 1;
-      marginals_[ids[j]] += 1;
-      total_ += 2;
-    }
-  }
-}
-
-void CooccurrenceCounter::AddCorpus(const Corpus& corpus) {
-  for (const auto& sentence : corpus) AddSentence(sentence);
-}
-
-int64_t CooccurrenceCounter::Count(int i, int j) const {
-  auto it = counts_.find(Key(i, j));
-  return it == counts_.end() ? 0 : it->second;
 }
 
 }  // namespace crew

@@ -1,15 +1,11 @@
 #ifndef CREW_EMBED_COOCCURRENCE_H_
 #define CREW_EMBED_COOCCURRENCE_H_
 
-#include <algorithm>
-#include <cstdint>
-#include <unordered_map>
-#include <utility>
+#include <string>
 #include <vector>
 
 #include "crew/data/dataset.h"
 #include "crew/text/tokenizer.h"
-#include "crew/text/vocabulary.h"
 
 namespace crew {
 
@@ -21,64 +17,6 @@ using Corpus = std::vector<std::vector<std::string>>;
 /// values concatenated in schema order. This mirrors how EM papers fine-tune
 /// or train embeddings on the serialized records themselves.
 Corpus BuildCorpus(const Dataset& dataset, const Tokenizer& tokenizer);
-
-/// Symmetric windowed co-occurrence counts over a fixed vocabulary.
-class CooccurrenceCounter {
- public:
-  /// `window` is the max distance between center and context tokens.
-  CooccurrenceCounter(const Vocabulary& vocab, int window)
-      : vocab_(vocab), window_(window) {}
-
-  /// Accumulates counts from `sentence`; out-of-vocabulary tokens are
-  /// skipped (they do not consume a window position).
-  void AddSentence(const std::vector<std::string>& sentence);
-
-  void AddCorpus(const Corpus& corpus);
-
-  /// Count for the unordered pair {i, j}.
-  int64_t Count(int i, int j) const;
-
-  /// Sum over j of Count(i, j).
-  int64_t Marginal(int i) const { return marginals_[i]; }
-
-  /// Total of all pair counts.
-  int64_t Total() const { return total_; }
-
-  /// Iterates stored (i, j, count) with i <= j, in ascending (i, j) order.
-  ///
-  /// `counts_` is a hash map, so emitting triples in bucket order would leak
-  /// hash-iteration order into callers: BuildPpmiMatrix inserts into
-  /// SymmetricSparse rows in visit order, and row-entry order decides the
-  /// floating-point summation order of MatVec during the eigen iteration.
-  /// Sorting the keys first makes the emitted triples — and every embedding
-  /// derived from them — canonical across platforms and hash
-  /// implementations.
-  template <typename Fn>
-  void ForEach(Fn fn) const {
-    std::vector<std::pair<uint64_t, int64_t>> entries(
-        counts_.begin(),  // crew-lint: allow(unordered-iter): sorted below
-        counts_.end());
-    std::sort(entries.begin(), entries.end());
-    for (const auto& [key, count] : entries) {
-      fn(static_cast<int>(key >> 32), static_cast<int>(key & 0xffffffff),
-         count);
-    }
-  }
-
-  const Vocabulary& vocab() const { return vocab_; }
-
- private:
-  static uint64_t Key(int i, int j) {
-    if (i > j) std::swap(i, j);
-    return (static_cast<uint64_t>(i) << 32) | static_cast<uint32_t>(j);
-  }
-
-  const Vocabulary& vocab_;
-  int window_;
-  std::unordered_map<uint64_t, int64_t> counts_;
-  std::vector<int64_t> marginals_ = std::vector<int64_t>(vocab_.size(), 0);
-  int64_t total_ = 0;
-};
 
 }  // namespace crew
 

@@ -13,7 +13,7 @@ namespace crew {
 /// Immutable word-vector table: a vocabulary plus one row per token.
 ///
 /// This is the only interface the rest of the system (matchers, CREW's
-/// semantic affinity) sees; whether vectors came from SGNS or PPMI+SVD is
+/// semantic affinity) sees; how the vectors were trained (SGNS) is
 /// irrelevant downstream.
 class EmbeddingStore {
  public:

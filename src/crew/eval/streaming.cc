@@ -368,6 +368,8 @@ class JsonParser {
   Status ParseNumber(JsonValue* out) {
     const char* begin = text_.c_str() + pos_;
     char* end = nullptr;
+    // crew-lint: allow(lenient-number-parse): a scanner, not a field parse:
+    // strtod's end pointer marks where the JSON number token stops.
     const double v = std::strtod(begin, &end);
     if (end == begin) return Fail("expected number");
     pos_ += static_cast<size_t>(end - begin);
@@ -1064,11 +1066,10 @@ std::unique_ptr<FaultInjector> FaultInjector::FromFlagsAndEnv(
     injector = std::make_unique<FaultInjector>();
     injector->ArmAfterCells(fail_after_cells);
   } else if (const char* env = std::getenv("CREW_FAULT_SEED")) {
-    char* end = nullptr;
-    const unsigned long long seed = std::strtoull(env, &end, 10);
-    if (end != env && *end == '\0') {
+    uint64_t seed = 0;
+    if (ParseUint64(env, &seed)) {
       injector = std::make_unique<FaultInjector>();
-      injector->ArmFromSeed(static_cast<uint64_t>(seed));
+      injector->ArmFromSeed(seed);
     } else {
       CREW_LOG(Warning) << "ignoring unparseable CREW_FAULT_SEED: " << env;
     }

@@ -190,8 +190,9 @@ class FaultInjector {
   void ArmFromSeed(uint64_t seed);
 
   /// Builds an injector from the shared bench knobs: an explicit
-  /// --fail-after-cells value wins; otherwise CREW_FAULT_SEED (parsed as a
-  /// uint64) seed-arms it; otherwise returns nullptr (disarmed). Also
+  /// --fail-after-cells value wins; otherwise CREW_FAULT_SEED (an unsigned
+  /// decimal; anything else, a sign included, is ignored with a warning)
+  /// seed-arms it; otherwise returns nullptr (disarmed). Also
   /// reads CREW_FAULT_HARD to select hard process exit over a Status.
   static std::unique_ptr<FaultInjector> FromFlagsAndEnv(int fail_after_cells);
 

@@ -12,8 +12,8 @@ namespace crew::la {
 /// Dense row-major matrix of doubles.
 ///
 /// Deliberately minimal: the library needs matrix-vector products, Gram
-/// matrices and factorizations for ridge regression and truncated SVD; it is
-/// not a general-purpose BLAS.
+/// matrices and factorizations for ridge regression; it is not a
+/// general-purpose BLAS.
 class Matrix {
  public:
   Matrix() : rows_(0), cols_(0) {}

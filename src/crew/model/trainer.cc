@@ -31,6 +31,13 @@ std::vector<MatcherKind> AllMatcherKinds() {
           MatcherKind::kRule};
 }
 
+Result<MatcherKind> MatcherKindFromName(std::string_view name) {
+  for (MatcherKind kind : AllMatcherKinds()) {
+    if (name == MatcherKindName(kind)) return kind;
+  }
+  return Status::InvalidArgument("unknown matcher: " + std::string(name));
+}
+
 Result<std::unique_ptr<Matcher>> TrainMatcher(
     MatcherKind kind, const Dataset& train,
     std::shared_ptr<const EmbeddingStore> embeddings, uint64_t seed) {

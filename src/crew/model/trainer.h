@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "crew/common/status.h"
@@ -16,6 +17,9 @@ namespace crew {
 enum class MatcherKind { kLogistic, kMlp, kEmbeddingBag, kRandomForest, kRule };
 
 const char* MatcherKindName(MatcherKind kind);
+
+/// The kind whose MatcherKindName is `name`; InvalidArgument otherwise.
+Result<MatcherKind> MatcherKindFromName(std::string_view name);
 
 /// All matcher kinds, in canonical table order.
 std::vector<MatcherKind> AllMatcherKinds();

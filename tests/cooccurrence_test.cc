@@ -7,61 +7,6 @@
 namespace crew {
 namespace {
 
-Vocabulary MakeVocab(std::vector<std::string> tokens) {
-  Vocabulary v;
-  for (const auto& t : tokens) v.Add(t);
-  return v;
-}
-
-TEST(CooccurrenceTest, CountsWithinWindow) {
-  Vocabulary vocab = MakeVocab({"a", "b", "c", "d"});
-  CooccurrenceCounter counter(vocab, /*window=*/1);
-  counter.AddSentence({"a", "b", "c"});
-  EXPECT_EQ(counter.Count(0, 1), 1);  // a-b
-  EXPECT_EQ(counter.Count(1, 2), 1);  // b-c
-  EXPECT_EQ(counter.Count(0, 2), 0);  // a-c outside window 1
-}
-
-TEST(CooccurrenceTest, WiderWindow) {
-  Vocabulary vocab = MakeVocab({"a", "b", "c"});
-  CooccurrenceCounter counter(vocab, /*window=*/2);
-  counter.AddSentence({"a", "b", "c"});
-  EXPECT_EQ(counter.Count(0, 2), 1);
-  EXPECT_EQ(counter.Count(2, 0), 1);  // symmetric lookup
-}
-
-TEST(CooccurrenceTest, MarginalsAndTotalConsistent) {
-  Vocabulary vocab = MakeVocab({"a", "b", "c"});
-  CooccurrenceCounter counter(vocab, 2);
-  counter.AddSentence({"a", "b", "c", "a"});
-  int64_t marginal_sum = 0;
-  for (int i = 0; i < vocab.size(); ++i) marginal_sum += counter.Marginal(i);
-  EXPECT_EQ(marginal_sum, counter.Total());
-  int64_t pair_sum = 0;
-  counter.ForEach([&](int i, int j, int64_t c) {
-    EXPECT_LE(i, j);
-    pair_sum += 2 * c;
-  });
-  EXPECT_EQ(pair_sum, counter.Total());
-}
-
-TEST(CooccurrenceTest, OovTokensSkipped) {
-  Vocabulary vocab = MakeVocab({"a", "b"});
-  CooccurrenceCounter counter(vocab, 1);
-  // "zzz" is OOV and must not consume a window slot: a and b become
-  // adjacent after filtering.
-  counter.AddSentence({"a", "zzz", "b"});
-  EXPECT_EQ(counter.Count(0, 1), 1);
-}
-
-TEST(CooccurrenceTest, SelfPairsIgnored) {
-  Vocabulary vocab = MakeVocab({"a"});
-  CooccurrenceCounter counter(vocab, 2);
-  counter.AddSentence({"a", "a", "a"});
-  EXPECT_EQ(counter.Count(0, 0), 0);
-  EXPECT_EQ(counter.Total(), 0);
-}
-
 TEST(BuildCorpusTest, OneSentencePerRecord) {
   GeneratorConfig config;
   config.num_matches = 4;

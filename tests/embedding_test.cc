@@ -1,8 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "crew/embed/ppmi.h"
 #include "crew/embed/sgns.h"
-#include "crew/embed/svd_embedding.h"
 
 namespace crew {
 namespace {
@@ -29,30 +27,6 @@ Corpus TwoTopicCorpus(int sentences_per_topic = 200) {
   return corpus;
 }
 
-TEST(PpmiTest, PositiveForAssociatedPairs) {
-  Vocabulary vocab;
-  vocab.Add("a");
-  vocab.Add("b");
-  vocab.Add("c");
-  CooccurrenceCounter counter(vocab, 1);
-  for (int i = 0; i < 10; ++i) counter.AddSentence({"a", "b"});
-  counter.AddSentence({"a", "c"});
-  la::SymmetricSparse ppmi = BuildPpmiMatrix(counter);
-  // a-b co-occur far above chance.
-  la::Vec ea(3, 0.0);
-  ea[0] = 1.0;
-  const la::Vec row_a = ppmi.MatVec(ea);
-  EXPECT_GT(row_a[1], 0.0);
-}
-
-TEST(PpmiTest, EmptyCountsGiveEmptyMatrix) {
-  Vocabulary vocab;
-  vocab.Add("a");
-  CooccurrenceCounter counter(vocab, 1);
-  la::SymmetricSparse ppmi = BuildPpmiMatrix(counter);
-  EXPECT_EQ(ppmi.NonZeros(), 0);
-}
-
 template <typename TrainFn>
 void ExpectTopicStructure(TrainFn train) {
   auto store_or = train(TwoTopicCorpus());
@@ -66,14 +40,6 @@ void ExpectTopicStructure(TrainFn train) {
                          store.Similarity("switch", "beans")) /
                         2.0;
   EXPECT_GT(within, across + 0.2);
-}
-
-TEST(SvdEmbeddingTest, SeparatesTopics) {
-  ExpectTopicStructure([](const Corpus& corpus) {
-    SvdEmbeddingConfig config;
-    config.dim = 8;
-    return TrainSvdEmbeddings(corpus, config);
-  });
 }
 
 TEST(SgnsEmbeddingTest, SeparatesTopics) {
@@ -116,12 +82,6 @@ TEST(SgnsEmbeddingTest, DeterministicGivenSeed) {
 }
 
 TEST(EmbeddingTrainingTest, RejectsBadConfigAndEmptyCorpus) {
-  SvdEmbeddingConfig svd;
-  svd.dim = 0;
-  EXPECT_FALSE(TrainSvdEmbeddings({}, svd).ok());
-  svd.dim = 4;
-  EXPECT_FALSE(TrainSvdEmbeddings({}, svd).ok());  // empty corpus
-
   SgnsConfig sgns;
   sgns.dim = -1;
   EXPECT_FALSE(TrainSgnsEmbeddings({}, sgns).ok());

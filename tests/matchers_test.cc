@@ -89,6 +89,17 @@ TEST(TrainerTest, MatcherKindNamesDistinct) {
   EXPECT_EQ(names.size(), AllMatcherKinds().size());
 }
 
+TEST(TrainerTest, MatcherKindFromNameInvertsKindName) {
+  for (MatcherKind kind : AllMatcherKinds()) {
+    auto parsed = MatcherKindFromName(MatcherKindName(kind));
+    ASSERT_TRUE(parsed.ok());
+    EXPECT_EQ(*parsed, kind);
+  }
+  EXPECT_EQ(MatcherKindFromName("mlpp").status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_FALSE(MatcherKindFromName("").ok());
+}
+
 TEST(TrainerTest, MatcherNameMatchesKindName) {
   for (MatcherKind kind : AllMatcherKinds()) {
     auto pipeline = TrainPipeline(EasyDataset(), kind, 0.7, 7);

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
@@ -426,6 +427,19 @@ TEST(FaultInjectorTest, SeedArmingIsDeterministicAndInRange) {
     EXPECT_GE(a.fail_after(), 0);
     EXPECT_LT(a.fail_after(), 7);
   }
+}
+
+TEST(FaultInjectorTest, EnvSeedMustBeAnUnsignedInteger) {
+  // strtoull would read "-1" as 2^64 - 1 and arm a fault nobody asked for.
+  for (const char* bad : {"-1", "+3", "12x", ""}) {
+    ASSERT_EQ(setenv("CREW_FAULT_SEED", bad, 1), 0);
+    EXPECT_EQ(FaultInjector::FromFlagsAndEnv(-1), nullptr) << "'" << bad << "'";
+  }
+  ASSERT_EQ(setenv("CREW_FAULT_SEED", "12", 1), 0);
+  const auto armed = FaultInjector::FromFlagsAndEnv(-1);
+  ASSERT_NE(armed, nullptr);
+  EXPECT_TRUE(armed->armed());
+  ASSERT_EQ(unsetenv("CREW_FAULT_SEED"), 0);
 }
 
 TEST(PrintResultTableTest, PrintsTheTableThenTheMetricsBlock) {

@@ -75,6 +75,20 @@ TEST(StringUtilTest, ParseInt) {
   EXPECT_FALSE(ParseInt("99999999999999", &v));  // overflow
 }
 
+TEST(StringUtilTest, ParseUint64) {
+  uint64_t v = 0;
+  EXPECT_TRUE(ParseUint64("18446744073709551615", &v));
+  EXPECT_EQ(v, 18446744073709551615ULL);
+  EXPECT_TRUE(ParseUint64(" 7 ", &v));
+  EXPECT_EQ(v, 7u);
+  EXPECT_FALSE(ParseUint64("-1", &v));  // strtoull would wrap this
+  EXPECT_FALSE(ParseUint64("+1", &v));
+  EXPECT_FALSE(ParseUint64("18446744073709551616", &v));  // overflow
+  EXPECT_FALSE(ParseUint64("12x", &v));
+  EXPECT_FALSE(ParseUint64("", &v));
+  EXPECT_EQ(v, 7u);  // untouched on failure
+}
+
 TEST(JsonEscapeTest, SpecialCharacters) {
   EXPECT_EQ(JsonEscape("plain"), "plain");
   EXPECT_EQ(JsonEscape("say \"hi\""), "say \\\"hi\\\"");

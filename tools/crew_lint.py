@@ -33,6 +33,12 @@ Rules (ids are stable; see --list-rules):
                       condition, assigned, or returned; ScopedMetricStage in
                       a condition). Observability must be write-only for the
                       pipeline: toggling tracing can never change a result.
+    lenient-number-parse
+                      atoi/atol/atof/strto*/std::sto* outside
+                      src/crew/common/string_util.cc. These accept trailing
+                      junk, or wrap "-1" into a huge unsigned value; parse
+                      numbers with ParseInt/ParseUint64/ParseDouble, which
+                      refuse anything they cannot read in full.
 
 Suppressions:
     // crew-lint: allow(<rule-id>)[: reason]
@@ -62,7 +68,12 @@ RULES = {
     "raw-stdio": "raw stdout/stderr in library code (use CREW_LOG)",
     "include-guard": "non-canonical or missing include guard",
     "trace-mutate": "observability state observed by compute-path control flow",
+    "lenient-number-parse": "lenient C/C++ number parser (use ParseInt/"
+                            "ParseUint64/ParseDouble)",
 }
+
+# The one file allowed to call the C parsers: it wraps them strictly.
+NUMBER_PARSER_HOME = "src/crew/common/string_util.cc"
 
 
 class Finding:
@@ -121,6 +132,10 @@ TRACE_VALUE_RE = re.compile(
     r"(=|\breturn\b)\s*(CREW_TRACE_SPAN|TracingEnabled\s*\(\s*\))")
 TRACE_SPAN_STMT_RE = re.compile(r"^\s*CREW_TRACE_SPAN\s*\(")
 TRACE_SPAN_ANY_RE = re.compile(r"CREW_TRACE_SPAN\s*\(")
+LENIENT_NUMBER_RE = re.compile(
+    r"(?:std::|(?<![\w:.>]))"
+    r"(?:ato(?:i|l|ll|f)|strto(?:d|f|ld|l|ll|ul|ull|imax|umax)"
+    r"|sto(?:i|l|ll|ul|ull|f|d|ld))\s*\(")
 
 UNORDERED_DECL_RE = re.compile(
     r"std::unordered_(?:map|set)\s*<[^;{}()]*>\s*[&*]?\s*(\w+)\s*[;,={(\[)]")
@@ -253,6 +268,13 @@ def lint_file(path, relpath, is_library):
         if is_library and RAW_STDIO_RE.search(code):
             add(i, "raw-stdio",
                 "library code must log via CREW_LOG, not raw stdout/stderr")
+        if relpath != NUMBER_PARSER_HOME:
+            m = LENIENT_NUMBER_RE.search(code)
+            if m:
+                add(i, "lenient-number-parse",
+                    f"'{m.group(0).rstrip('( ')}' accepts malformed input; "
+                    "use ParseInt/ParseUint64/ParseDouble "
+                    "(crew/common/string_util.h)")
         if TRACE_COND_RE.search(code) or TRACE_VALUE_RE.search(code):
             add(i, "trace-mutate",
                 "control flow observes tracing/metrics state; observability "

@@ -30,6 +30,10 @@ EXPECTATIONS = {
     "bad_include_guard.h": {(1, "include-guard")},
     "bad_trace_mutate.cc": {(6, "trace-mutate"), (9, "trace-mutate"),
                             (10, "trace-mutate")},
+    "bad_number_parse.cc": {(7, "lenient-number-parse"),
+                            (8, "lenient-number-parse"),
+                            (9, "lenient-number-parse"),
+                            (10, "lenient-number-parse")},
     "suppressed.cc": set(),
     "suppressed_file.cc": set(),
     "clean.h": set(),
