@@ -23,11 +23,15 @@
 
 int main(int argc, char** argv) {
   crew::bench::BenchOptions options;
+  options.dataset = "products-structured";  // one dataset suffices here
   std::string sweep_list = "32,64,128,256,512,1024";
   crew::FlagParser flags;
   options.Declare(flags);
   flags.Add("sweep", &sweep_list, "comma-separated perturbation budgets");
   flags.ParseOrExit(argc, argv);
+  if (crew::Status valid = options.Validate(); !valid.ok()) {
+    flags.ExitWithUsage(valid);
+  }
   std::vector<int> sweep;
   for (const std::string& part : crew::Split(sweep_list, ',')) {
     int budget = 0;
@@ -38,16 +42,14 @@ int main(int argc, char** argv) {
     sweep.push_back(budget);
   }
   options.run.Apply();
-  if (options.dataset.empty()) {
-    options.dataset = "products-structured";  // one dataset suffices here
-  }
+  // An explicit empty --dataset selects all nine; f4 times the first.
+  auto base_spec = crew::bench::SpecFromOptions("f4_runtime", options);
   std::printf(
       "== F4: explanation runtime vs perturbation samples ==\n"
       "matcher=%s dataset=%s instances=%d threads=%d (0 = hardware: %d)\n\n",
-      options.matcher.c_str(), options.dataset.c_str(), options.instances,
-      options.run.threads, crew::HardwareThreads());
+      options.matcher.c_str(), base_spec.datasets[0].name.c_str(),
+      options.instances, options.run.threads, crew::HardwareThreads());
 
-  auto base_spec = crew::bench::SpecFromOptions("f4_runtime", options);
   auto prepared = crew::PrepareDataset(base_spec.datasets[0], base_spec);
   crew::bench::DieIfError(prepared.status());
   std::vector<crew::PreparedDataset> prepared_all;

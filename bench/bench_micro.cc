@@ -8,10 +8,12 @@
 
 #include "crew/common/rng.h"
 #include "crew/core/agglomerative.h"
+#include "crew/data/benchmark_suite.h"
 #include "crew/data/generator.h"
 #include "crew/embed/sgns.h"
 #include "crew/explain/token_view.h"
 #include "crew/la/ridge.h"
+#include "crew/model/embedding_bag_matcher.h"
 #include "crew/model/trainer.h"
 #include "crew/text/string_similarity.h"
 #include "crew/text/tokenizer.h"
@@ -182,6 +184,30 @@ void BM_EmbeddingBagPerturbationBatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * batch);
 }
 BENCHMARK(BM_EmbeddingBagPerturbationBatch)->Arg(32)->Arg(256)->Arg(1024);
+
+// Embedding-bag training on one grid dataset's train split (the first
+// StandardBenchmark entry at the grid's size): encoding plus 80 epochs of
+// SGD, the per-dataset matcher cost of an embedding-bag grid's prepare.
+void BM_TrainEmbeddingBag(benchmark::State& state) {
+  static const auto* pipeline = [] {
+    auto d = crew::GenerateDataset(crew::StandardBenchmark()[0].config);
+    CREW_CHECK(d.ok());
+    auto p = crew::TrainPipeline(d.value(), crew::MatcherKind::kEmbeddingBag,
+                                 0.7, 7);
+    CREW_CHECK(p.ok());
+    return new crew::TrainedPipeline(std::move(p.value()));
+  }();
+  crew::EmbeddingBagConfig config;
+  config.seed = 7;
+  for (auto _ : state) {
+    auto matcher = crew::EmbeddingBagMatcher::Train(
+        pipeline->train, pipeline->embeddings, config);
+    CREW_CHECK(matcher.ok());
+    benchmark::DoNotOptimize(matcher.value().get());
+  }
+  state.SetItemsProcessed(state.iterations() * pipeline->train.size());
+}
+BENCHMARK(BM_TrainEmbeddingBag)->Unit(benchmark::kMillisecond);
 
 // One scoring block through a featurizer-based matcher: 64 random
 // keep-mask variants of one pair (BatchScorer's block size). Variants

@@ -13,7 +13,8 @@
 #include "bench_util.h"
 
 int main(int argc, char** argv) {
-  const auto options = crew::bench::BenchOptions::Parse(argc, argv);
+  const auto options = crew::bench::BenchOptions::Parse(
+      argc, argv, crew::bench::BenchKnobs::kDataOnly);
   std::printf("== T1: dataset statistics ==\n\n");
 
   crew::ExperimentResult header;

@@ -14,7 +14,8 @@
 #include "bench_util.h"
 
 int main(int argc, char** argv) {
-  const auto options = crew::bench::BenchOptions::Parse(argc, argv);
+  const auto options = crew::bench::BenchOptions::Parse(
+      argc, argv, crew::bench::BenchKnobs::kDataOnly);
   std::printf("== T2: matcher quality (test F1) ==\n\n");
 
   crew::ExperimentResult header;

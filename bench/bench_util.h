@@ -35,6 +35,12 @@ T ValueOrDie(Result<T> result) {
   return std::move(result).value();
 }
 
+/// Which experiment knobs a bench declares: all of them, or only the data
+/// knobs for benches that explain nothing and train every matcher (t1,
+/// t2), so that --matcher, --instances and --samples are refused there
+/// rather than ignored.
+enum class BenchKnobs { kAll, kDataOnly };
+
 /// Shared experiment knobs parsed from the command line; every bench binary
 /// accepts the same flags so sweeps are scriptable.
 struct BenchOptions {
@@ -48,29 +54,51 @@ struct BenchOptions {
   RunControl run;
 
   /// Declares the experiment knobs and the run-control flags on `flags`.
-  void Declare(FlagParser& flags) {
+  void Declare(FlagParser& flags, BenchKnobs knobs = BenchKnobs::kAll) {
+    const bool all = knobs == BenchKnobs::kAll;
     flags.Add("matches", &matches, "matching pairs per dataset");
     flags.Add("nonmatches", &nonmatches, "non-matching pairs per dataset");
-    flags.Add("instances", &instances, "explained pairs per dataset");
-    flags.Add("samples", &samples, "perturbation samples per explanation");
+    if (all) {
+      flags.Add("instances", &instances, "explained pairs per dataset");
+      flags.Add("samples", &samples, "perturbation samples per explanation");
+    }
     flags.Add("seed", &seed, "base seed of data, training and explanation");
-    flags.Add("matcher", &matcher,
-              "logistic, mlp, embedding_bag, random_forest or rule");
+    if (all) {
+      flags.Add("matcher", &matcher,
+                "logistic, mlp, embedding_bag, random_forest or rule");
+    }
     flags.Add("dataset", &dataset, "one benchmark dataset; empty = all nine");
     run.Declare(flags);
   }
 
+  /// Refuses a --matcher or --dataset value that names nothing.
+  Status Validate() const {
+    auto kind = MatcherKindFromName(matcher);
+    if (!kind.ok()) {
+      return Status::InvalidArgument("--matcher: " + kind.status().message());
+    }
+    if (dataset.empty()) return Status::Ok();
+    for (const BenchmarkEntry& entry : StandardBenchmark()) {
+      if (entry.name == dataset) return Status::Ok();
+    }
+    return Status::InvalidArgument("--dataset: unknown benchmark dataset: " +
+                                   dataset);
+  }
+
   /// The declared flags of a bench without flags of its own; a usage
-  /// error exits 2 before any work.
-  static BenchOptions Parse(int argc, char** argv) {
+  /// error or an unknown name exits 2 before any work.
+  static BenchOptions Parse(int argc, char** argv,
+                            BenchKnobs knobs = BenchKnobs::kAll) {
     BenchOptions o;
     FlagParser flags;
-    o.Declare(flags);
+    o.Declare(flags, knobs);
     flags.ParseOrExit(argc, argv);
+    if (Status valid = o.Validate(); !valid.ok()) flags.ExitWithUsage(valid);
     o.run.Apply();
     return o;
   }
 
+  /// The --dataset entry, or all nine; the name was checked by Validate().
   std::vector<BenchmarkEntry> Datasets() const {
     std::vector<BenchmarkEntry> all =
         StandardBenchmark(seed, matches, nonmatches);
@@ -78,8 +106,7 @@ struct BenchOptions {
     for (auto& entry : all) {
       if (entry.name == dataset) return {entry};
     }
-    std::fprintf(stderr, "unknown dataset: %s\n", dataset.c_str());
-    std::exit(1);
+    return {};
   }
 };
 

@@ -248,6 +248,9 @@ struct ExperimentSpec {
   InstanceEvalOptions eval;
   /// Builds the explainer line-up for one prepared pipeline. Required by
   /// Run(); experiments with custom cells (RunGrid) may leave it empty.
+  /// Its variant names must not depend on the pipeline: Run() learns them
+  /// from a suite built on an empty TrainedPipeline and refuses a trained
+  /// suite that names others.
   std::function<std::vector<SuiteEntry>(const TrainedPipeline&)> suite;
 };
 
@@ -281,9 +284,10 @@ Result<ExperimentResult> RunGrid(ExperimentResult header,
 /// and its matcher / instances / seed / threads params.
 ExperimentResult ExperimentHeader(const ExperimentSpec& spec);
 
-/// Executes an ExperimentSpec: prepare each dataset, evaluate every suite
-/// variant on its selected instances (instances sharded across the scoring
-/// pool), reduce deterministically, and return the structured grid.
+/// Executes an ExperimentSpec: prepare each dataset that still has a cell
+/// to compute, evaluate every suite variant on its selected instances
+/// (instances sharded across the scoring pool), reduce deterministically,
+/// and return the structured grid.
 class ExperimentRunner {
  public:
   explicit ExperimentRunner(ExperimentSpec spec) : spec_(std::move(spec)) {}
@@ -293,10 +297,14 @@ class ExperimentRunner {
   /// The standard grid: spec.suite x spec.datasets. `hooks` (optional)
   /// adds streaming sinks, checkpoint restore/append, fault injection, and
   /// schedule shuffling; default hooks reproduce the plain batch run.
+  /// Datasets are prepared serially, before the first cell, and only when
+  /// the checkpoint lacks at least one of their cells.
   Result<ExperimentResult> Run(const RunHooks& hooks = RunHooks()) const;
 
   /// Run() over externally prepared datasets — lets budget sweeps reuse
-  /// one trained pipeline across several runner invocations.
+  /// one trained pipeline across several runner invocations. An entry
+  /// without a matcher (left unprepared) must have every cell in
+  /// hooks.checkpoint.
   Result<ExperimentResult> RunPrepared(
       const std::vector<PreparedDataset>& prepared,
       const RunHooks& hooks = RunHooks()) const;

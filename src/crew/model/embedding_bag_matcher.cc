@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "crew/common/logging.h"
 #include "crew/common/rng.h"
 #include "crew/common/trace.h"
 #include "crew/la/vector_ops.h"
@@ -82,15 +83,82 @@ void EncodePairInto(const Schema& schema, const EmbeddingStore& embeddings,
   }
 }
 
-la::Vec EncodePair(const Schema& schema, const EmbeddingStore& embeddings,
-                   const Tokenizer& tokenizer, const RecordPair& pair) {
-  EmbeddingBagMatcher::EncodeScratch scratch;
-  la::Vec x;
-  EncodePairInto(schema, embeddings, tokenizer, pair, &scratch, &x);
-  return x;
+// sums[i] = b1[i] + sum_j w1t(j, i) * x[j], each sum accumulated in j
+// order (see EmbeddingBagNet).
+void HiddenSums(const la::Matrix& w1t, const la::Vec& b1, const la::Vec& x,
+                la::Vec* sums) {
+  const int d = w1t.rows();
+  const int h = w1t.cols();
+  sums->assign(b1.begin(), b1.end());
+  double* s = sums->data();
+  for (int j = 0; j < d; ++j) {
+    const double* col = w1t.Row(j);
+    const double xj = x[j];
+    for (int i = 0; i < h; ++i) s[i] += col[i] * xj;
+  }
 }
 
 }  // namespace
+
+EmbeddingBagNet EmbeddingBagNet::Train(const std::vector<la::Vec>& rows,
+                                       const std::vector<int>& labels,
+                                       const EmbeddingBagConfig& config) {
+  CREW_CHECK(!rows.empty());
+  const int n = static_cast<int>(rows.size());
+  const int d = static_cast<int>(rows[0].size());
+  const int h = config.hidden_units;
+  Rng rng(config.seed);
+  EmbeddingBagNet net;
+  net.w1t = la::Matrix(d, h);
+  net.b1.assign(h, 0.0);
+  net.w2.assign(h, 0.0);
+  const double init = 1.0 / std::sqrt(static_cast<double>(d));
+  for (int i = 0; i < h; ++i) {
+    for (int j = 0; j < d; ++j) net.w1t.At(j, i) = rng.Uniform(-init, init);
+    net.w2[i] = rng.Uniform(-0.5, 0.5) / std::sqrt(static_cast<double>(h));
+  }
+
+  std::vector<int> order(n);
+  for (int i = 0; i < n; ++i) order[i] = i;
+  la::Vec hidden(h), delta_hidden(h);
+  for (int epoch = 0; epoch < config.epochs; ++epoch) {
+    rng.Shuffle(order);
+    const double lr =
+        config.learning_rate / (1.0 + 0.05 * static_cast<double>(epoch));
+    for (int idx : order) {
+      const la::Vec& x = rows[idx];
+      HiddenSums(net.w1t, net.b1, x, &hidden);
+      for (int i = 0; i < h; ++i) hidden[i] = std::tanh(hidden[i]);
+      const double p = la::Sigmoid(la::Dot(net.w2, hidden) + net.b2);
+      const double err = p - labels[idx];
+      for (int i = 0; i < h; ++i) {
+        delta_hidden[i] = err * net.w2[i] * (1.0 - hidden[i] * hidden[i]);
+      }
+      for (int i = 0; i < h; ++i) {
+        net.w2[i] -= lr * (err * hidden[i] + config.l2 * net.w2[i]);
+        net.b1[i] -= lr * delta_hidden[i];
+      }
+      // Element-wise, so updating by input column is the same arithmetic
+      // as updating by unit row.
+      for (int j = 0; j < d; ++j) {
+        double* col = net.w1t.Row(j);
+        const double xj = x[j];
+        for (int i = 0; i < h; ++i) {
+          col[i] -= lr * (delta_hidden[i] * xj + config.l2 * col[i]);
+        }
+      }
+      net.b2 -= lr * err;
+    }
+  }
+  return net;
+}
+
+double EmbeddingBagNet::Forward(const la::Vec& x, la::Vec* sums) const {
+  HiddenSums(w1t, b1, x, sums);
+  double z = b2;
+  for (size_t i = 0; i < w2.size(); ++i) z += w2[i] * std::tanh((*sums)[i]);
+  return la::Sigmoid(z);
+}
 
 Result<std::unique_ptr<EmbeddingBagMatcher>> EmbeddingBagMatcher::Train(
     const Dataset& train, std::shared_ptr<const EmbeddingStore> embeddings,
@@ -118,63 +186,15 @@ Result<std::unique_ptr<EmbeddingBagMatcher>> EmbeddingBagMatcher::Train(
     return Status::InvalidArgument("EmbeddingBagMatcher: no labeled pairs");
   }
 
-  const int n = static_cast<int>(rows.size());
-  const int d = static_cast<int>(rows[0].size());
-  const int h = config.hidden_units;
-  Rng rng(config.seed);
-  la::Matrix w1(h, d);
-  la::Vec b1(h, 0.0), w2(h, 0.0);
-  double b2 = 0.0;
-  const double init = 1.0 / std::sqrt(static_cast<double>(d));
-  for (int i = 0; i < h; ++i) {
-    for (int j = 0; j < d; ++j) w1.At(i, j) = rng.Uniform(-init, init);
-    w2[i] = rng.Uniform(-0.5, 0.5) / std::sqrt(static_cast<double>(h));
-  }
-
-  std::vector<int> order(n);
-  for (int i = 0; i < n; ++i) order[i] = i;
-  la::Vec hidden(h), delta_hidden(h);
-  for (int epoch = 0; epoch < config.epochs; ++epoch) {
-    rng.Shuffle(order);
-    const double lr =
-        config.learning_rate / (1.0 + 0.05 * static_cast<double>(epoch));
-    for (int idx : order) {
-      const la::Vec& x = rows[idx];
-      for (int i = 0; i < h; ++i) {
-        const double* row = w1.Row(i);
-        double s = b1[i];
-        for (int j = 0; j < d; ++j) s += row[j] * x[j];
-        hidden[i] = std::tanh(s);
-      }
-      const double p = la::Sigmoid(la::Dot(w2, hidden) + b2);
-      const double err = p - labels[idx];
-      for (int i = 0; i < h; ++i) {
-        delta_hidden[i] = err * w2[i] * (1.0 - hidden[i] * hidden[i]);
-      }
-      for (int i = 0; i < h; ++i) {
-        w2[i] -= lr * (err * hidden[i] + config.l2 * w2[i]);
-        double* row = w1.Row(i);
-        const double dh = delta_hidden[i];
-        for (int j = 0; j < d; ++j) {
-          row[j] -= lr * (dh * x[j] + config.l2 * row[j]);
-        }
-        b1[i] -= lr * dh;
-      }
-      b2 -= lr * err;
-    }
-  }
-
   auto matcher = std::unique_ptr<EmbeddingBagMatcher>(new EmbeddingBagMatcher(
-      schema, embeddings, tokenizer, std::move(w1), std::move(b1),
-      std::move(w2), b2, /*threshold=*/0.5));
-  std::vector<double> scores(n);
-  for (int i = 0; i < n; ++i) scores[i] = matcher->Forward(rows[i]);
+      schema, embeddings, tokenizer,
+      EmbeddingBagNet::Train(rows, labels, config), /*threshold=*/0.5));
+  std::vector<double> scores(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    scores[i] = matcher->net_.Forward(rows[i], &scratch.hidden);
+  }
   matcher->threshold_ = BestF1Threshold(scores, labels);
   return matcher;
-}
-
-la::Vec EmbeddingBagMatcher::Encode(const RecordPair& pair) const {
-  return EncodePair(schema_, *embeddings_, tokenizer_, pair);
 }
 
 void EmbeddingBagMatcher::EncodeInto(const RecordPair& pair,
@@ -182,21 +202,11 @@ void EmbeddingBagMatcher::EncodeInto(const RecordPair& pair,
   EncodePairInto(schema_, *embeddings_, tokenizer_, pair, scratch, x);
 }
 
-double EmbeddingBagMatcher::Forward(const la::Vec& x) const {
-  const int h = w1_.rows();
-  const int d = w1_.cols();
-  double z = b2_;
-  for (int i = 0; i < h; ++i) {
-    const double* row = w1_.Row(i);
-    double s = b1_[i];
-    for (int j = 0; j < d; ++j) s += row[j] * x[j];
-    z += w2_[i] * std::tanh(s);
-  }
-  return la::Sigmoid(z);
-}
-
 double EmbeddingBagMatcher::PredictProba(const RecordPair& pair) const {
-  return Forward(Encode(pair));
+  EncodeScratch scratch;
+  la::Vec x;
+  EncodeInto(pair, &scratch, &x);
+  return net_.Forward(x, &scratch.hidden);
 }
 
 void EmbeddingBagMatcher::PredictProbaBatch(const RecordPair* pairs,
@@ -206,7 +216,7 @@ void EmbeddingBagMatcher::PredictProbaBatch(const RecordPair* pairs,
   la::Vec x;
   for (size_t i = 0; i < count; ++i) {
     EncodeInto(pairs[i], &scratch, &x);
-    out[i] = Forward(x);
+    out[i] = net_.Forward(x, &scratch.hidden);
   }
 }
 

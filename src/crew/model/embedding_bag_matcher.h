@@ -23,6 +23,29 @@ struct EmbeddingBagConfig {
   uint64_t seed = 23;
 };
 
+/// The matcher's network: one tanh hidden layer and a sigmoid output,
+/// trained by per-example SGD. The hidden weights are stored column-major
+/// (`w1t` is d x h; w1t.At(j, i) is unit i's weight on input j), so the
+/// hidden sums run across units in the inner loop, which vectorizes, while
+/// every unit still adds its d terms in input order. Training and Forward
+/// are therefore bit-identical to row-major dot products.
+struct EmbeddingBagNet {
+  la::Matrix w1t;
+  la::Vec b1;
+  la::Vec w2;
+  double b2 = 0.0;
+
+  /// SGD on `rows` (labels 0/1) for config.epochs epochs, in an order
+  /// shuffled by config.seed. `rows` must be non-empty and equally sized.
+  static EmbeddingBagNet Train(const std::vector<la::Vec>& rows,
+                               const std::vector<int>& labels,
+                               const EmbeddingBagConfig& config);
+
+  /// P(match) of the encoded pair `x`; `sums` is a reusable buffer for the
+  /// hidden-layer sums.
+  double Forward(const la::Vec& x, la::Vec* sums) const;
+};
+
 /// Deep-learning-style matcher working directly on word vectors:
 /// each attribute is encoded as the mean embedding of its tokens; the pair
 /// representation concatenates per-attribute [|l - r|, l ⊙ r, cos(l, r),
@@ -60,30 +83,25 @@ class EmbeddingBagMatcher : public Matcher {
     std::vector<int> left_ids, right_ids;
     std::unordered_map<std::string, int> token_ids;
     la::Vec left_mean, right_mean;
+    la::Vec hidden;  ///< EmbeddingBagNet::Forward's hidden-layer sums
   };
 
  private:
   EmbeddingBagMatcher(Schema schema,
                       std::shared_ptr<const EmbeddingStore> embeddings,
-                      Tokenizer tokenizer, la::Matrix w1, la::Vec b1,
-                      la::Vec w2, double b2, double threshold)
+                      Tokenizer tokenizer, EmbeddingBagNet net,
+                      double threshold)
       : schema_(std::move(schema)), embeddings_(std::move(embeddings)),
-        tokenizer_(tokenizer), w1_(std::move(w1)), b1_(std::move(b1)),
-        w2_(std::move(w2)), b2_(b2), threshold_(threshold) {}
+        tokenizer_(tokenizer), net_(std::move(net)), threshold_(threshold) {}
 
-  /// Pair -> interaction vector of size schema.size() * 2 * dim.
-  la::Vec Encode(const RecordPair& pair) const;
+  /// Pair -> interaction vector of size schema.size() * (2 * dim + 2).
   void EncodeInto(const RecordPair& pair, EncodeScratch* scratch,
                   la::Vec* x) const;
-  double Forward(const la::Vec& x) const;
 
   Schema schema_;
   std::shared_ptr<const EmbeddingStore> embeddings_;
   Tokenizer tokenizer_;
-  la::Matrix w1_;
-  la::Vec b1_;
-  la::Vec w2_;
-  double b2_;
+  EmbeddingBagNet net_;
   double threshold_;
 };
 

@@ -8,7 +8,8 @@ flag is parsed before the bad argument, so a refusal that came too late
 would show up as a written file).
 
     python3 tests/cli_refusal_test.py <bench_t3_faithfulness> \\
-        <bench_f4_runtime> <explain_csv>
+        <bench_f4_runtime> <explain_csv> <bench_t1_datasets> \\
+        <bench_t2_matchers>
 """
 
 import os
@@ -19,31 +20,41 @@ import tempfile
 # Valid flags that keep a wrongly accepted run small.
 SMALL = ["--dataset", "products-structured", "--instances", "2",
          "--samples", "8"]
+# t1 and t2 explain nothing, so they declare neither --instances nor
+# --samples.
+SMALL_DATA = ["--dataset", "products-structured"]
 
 
-def cases(t3, f4, explain_csv):
-    """(binary, arguments, text stderr must contain, writes --json?)."""
+def cases(t3, f4, explain_csv, t1, t2):
+    """(binary, arguments, text stderr must contain, valid flags to prepend
+    along with --json; None for a binary without --json)."""
     return [
-        (t3, ["--sampels=8"], "--sampels", True),
-        (t3, ["--instances=abc"], "--instances", True),
-        (t3, ["--seed=-1"], "--seed", True),
-        (t3, ["--help"], "--help", True),
-        (t3, ["oops"], "oops", True),
-        (f4, ["--sweep", "32,0"], "--sweep", True),
-        (explain_csv, ["--pairr", "3"], "--pairr", False),
+        (t3, ["--sampels=8"], "--sampels", SMALL),
+        (t3, ["--instances=abc"], "--instances", SMALL),
+        (t3, ["--seed=-1"], "--seed", SMALL),
+        (t3, ["--help"], "--help", SMALL),
+        (t3, ["oops"], "oops", SMALL),
+        (t3, ["--matcher", "nope"], "--matcher", SMALL),
+        (t3, ["--dataset", "nope"], "--dataset", SMALL),
+        (f4, ["--sweep", "32,0"], "--sweep", SMALL),
+        (f4, ["--dataset", "nope"], "--dataset", SMALL),
+        (t1, ["--instances", "2"], "--instances", SMALL_DATA),
+        (t2, ["--matcher", "rule"], "--matcher", SMALL_DATA),
+        (t2, ["--samples", "16"], "--samples", SMALL_DATA),
+        (explain_csv, ["--pairr", "3"], "--pairr", None),
     ]
 
 
 def main(argv):
-    if len(argv) != 4:
+    if len(argv) != 6:
         print(__doc__, file=sys.stderr)
         return 2
     failures = []
     with tempfile.TemporaryDirectory() as tmp:
-        for i, (binary, args, culprit, has_json) in enumerate(cases(*argv[1:])):
+        for i, (binary, args, culprit, small) in enumerate(cases(*argv[1:])):
             json_path = os.path.join(tmp, f"case{i}.json")
-            cmd = [binary] + (SMALL + ["--json", json_path] if has_json
-                              else []) + args
+            cmd = [binary] + (small + ["--json", json_path]
+                              if small is not None else []) + args
             proc = subprocess.run(cmd, capture_output=True, text=True,
                                   cwd=tmp, timeout=120)
             label = " ".join([os.path.basename(binary)] + args)
@@ -62,7 +73,7 @@ def main(argv):
         print(f"FAIL: {f}")
     if failures:
         return 1
-    print(f"cli_refusal_test: {len(cases('', '', ''))} command lines refused")
+    print(f"cli_refusal_test: {len(cases(*argv[1:]))} command lines refused")
     return 0
 
 

@@ -1,10 +1,17 @@
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <set>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "crew/common/rng.h"
 #include "crew/data/generator.h"
+#include "crew/la/matrix.h"
+#include "crew/model/embedding_bag_matcher.h"
 #include "crew/model/trainer.h"
 
 namespace crew {
@@ -105,6 +112,124 @@ TEST(TrainerTest, MatcherNameMatchesKindName) {
     auto pipeline = TrainPipeline(EasyDataset(), kind, 0.7, 7);
     ASSERT_TRUE(pipeline.ok());
     EXPECT_EQ(pipeline->matcher->Name(), MatcherKindName(kind));
+  }
+}
+
+// The embedding-bag network as it was first written: row-major hidden
+// weights, one dot product per unit. EmbeddingBagNet must reproduce it bit
+// for bit.
+struct RowMajorNet {
+  la::Matrix w1;  // h x d
+  la::Vec b1, w2;
+  double b2 = 0.0;
+};
+
+RowMajorNet TrainRowMajor(const std::vector<la::Vec>& rows,
+                          const std::vector<int>& labels,
+                          const EmbeddingBagConfig& config) {
+  const int n = static_cast<int>(rows.size());
+  const int d = static_cast<int>(rows[0].size());
+  const int h = config.hidden_units;
+  Rng rng(config.seed);
+  la::Matrix w1(h, d);
+  la::Vec b1(h, 0.0), w2(h, 0.0);
+  double b2 = 0.0;
+  const double init = 1.0 / std::sqrt(static_cast<double>(d));
+  for (int i = 0; i < h; ++i) {
+    for (int j = 0; j < d; ++j) w1.At(i, j) = rng.Uniform(-init, init);
+    w2[i] = rng.Uniform(-0.5, 0.5) / std::sqrt(static_cast<double>(h));
+  }
+  std::vector<int> order(n);
+  for (int i = 0; i < n; ++i) order[i] = i;
+  la::Vec hidden(h), delta_hidden(h);
+  for (int epoch = 0; epoch < config.epochs; ++epoch) {
+    rng.Shuffle(order);
+    const double lr =
+        config.learning_rate / (1.0 + 0.05 * static_cast<double>(epoch));
+    for (int idx : order) {
+      const la::Vec& x = rows[idx];
+      for (int i = 0; i < h; ++i) {
+        const double* row = w1.Row(i);
+        double s = b1[i];
+        for (int j = 0; j < d; ++j) s += row[j] * x[j];
+        hidden[i] = std::tanh(s);
+      }
+      const double p = la::Sigmoid(la::Dot(w2, hidden) + b2);
+      const double err = p - labels[idx];
+      for (int i = 0; i < h; ++i) {
+        delta_hidden[i] = err * w2[i] * (1.0 - hidden[i] * hidden[i]);
+      }
+      for (int i = 0; i < h; ++i) {
+        w2[i] -= lr * (err * hidden[i] + config.l2 * w2[i]);
+        double* row = w1.Row(i);
+        const double dh = delta_hidden[i];
+        for (int j = 0; j < d; ++j) {
+          row[j] -= lr * (dh * x[j] + config.l2 * row[j]);
+        }
+        b1[i] -= lr * dh;
+      }
+      b2 -= lr * err;
+    }
+  }
+  return {std::move(w1), std::move(b1), std::move(w2), b2};
+}
+
+double ForwardRowMajor(const RowMajorNet& net, const la::Vec& x) {
+  const int h = net.w1.rows();
+  const int d = net.w1.cols();
+  double z = net.b2;
+  for (int i = 0; i < h; ++i) {
+    const double* row = net.w1.Row(i);
+    double s = net.b1[i];
+    for (int j = 0; j < d; ++j) s += row[j] * x[j];
+    z += net.w2[i] * std::tanh(s);
+  }
+  return la::Sigmoid(z);
+}
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+TEST(EmbeddingBagNetTest, BitIdenticalToRowMajorLoops) {
+  // 97 hidden units: well past the default 24 and not a multiple of any
+  // vector width, so the vectorized loops' remainder path is covered too.
+  for (uint64_t seed : {1ULL, 23ULL, 4242ULL}) {
+    for (int hidden_units : {1, 24, 97}) {
+      SCOPED_TRACE("seed=" + std::to_string(seed) +
+                   " hidden_units=" + std::to_string(hidden_units));
+      Rng rng(seed * 31 + 5);
+      const int d = 37;
+      std::vector<la::Vec> rows(60, la::Vec(d));
+      std::vector<int> labels;
+      for (la::Vec& row : rows) {
+        for (double& v : row) v = rng.Uniform(-1.0, 1.0);
+        labels.push_back(row[0] + row[1] > 0.0 ? 1 : 0);
+      }
+      EmbeddingBagConfig config;
+      config.hidden_units = hidden_units;
+      config.epochs = 12;
+      config.seed = seed;
+      const EmbeddingBagNet net = EmbeddingBagNet::Train(rows, labels, config);
+      const RowMajorNet ref = TrainRowMajor(rows, labels, config);
+
+      ASSERT_EQ(net.w1t.rows(), d);
+      ASSERT_EQ(net.w1t.cols(), hidden_units);
+      for (int i = 0; i < hidden_units; ++i) {
+        for (int j = 0; j < d; ++j) {
+          ASSERT_EQ(Bits(net.w1t.At(j, i)), Bits(ref.w1.At(i, j)))
+              << "w1[" << i << "][" << j << "]";
+        }
+        ASSERT_EQ(Bits(net.b1[i]), Bits(ref.b1[i])) << "b1[" << i << "]";
+        ASSERT_EQ(Bits(net.w2[i]), Bits(ref.w2[i])) << "w2[" << i << "]";
+      }
+      ASSERT_EQ(Bits(net.b2), Bits(ref.b2));
+
+      la::Vec sums;
+      for (int k = 0; k < 20; ++k) {
+        la::Vec x(d);
+        for (double& v : x) v = rng.Uniform(-2.0, 2.0);
+        EXPECT_EQ(Bits(net.Forward(x, &sums)), Bits(ForwardRowMajor(ref, x)));
+      }
+    }
   }
 }
 

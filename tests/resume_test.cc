@@ -51,15 +51,20 @@ BenchmarkEntry TinyEntry(const std::string& name, uint64_t seed) {
 
 // 2 datasets x 2 variants = a 4-cell grid, small enough to rerun many
 // times but wide enough that kill points 1..3 leave a genuinely partial
-// checkpoint.
-ExperimentRunner MakeRunner(MatcherKind matcher = MatcherKind::kLogistic) {
+// checkpoint. `trained_suites`, when set, counts the suites built for a
+// trained pipeline, i.e. the datasets the run prepared.
+ExperimentRunner MakeRunner(MatcherKind matcher = MatcherKind::kLogistic,
+                            int* trained_suites = nullptr) {
   ExperimentSpec spec;
   spec.name = "resume_grid";
   spec.datasets = {TinyEntry("tiny-a", 3), TinyEntry("tiny-b", 4)};
   spec.matcher = matcher;
   spec.instances_per_dataset = 2;
   spec.seed = 7;
-  spec.suite = [](const TrainedPipeline&) {
+  spec.suite = [trained_suites](const TrainedPipeline& pipeline) {
+    if (trained_suites != nullptr && pipeline.matcher != nullptr) {
+      ++*trained_suites;
+    }
     std::vector<SuiteEntry> suite;
     LimeConfig lime;
     lime.perturbation.num_samples = 16;
@@ -147,6 +152,86 @@ TEST(ResumeTest, FullyCheckpointedGridRecomputesNothing) {
   auto result = MakeRunner().Run(hooks);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->cells.size(), 4u);
+}
+
+TEST(ResumeTest, FullyCheckpointedGridPreparesNoDataset) {
+  ScopedStableTiming stable;
+  auto clean = MakeRunner().Run();
+  ASSERT_TRUE(clean.ok());
+  const std::string path = CheckpointPath("prepare_none");
+  std::remove(path.c_str());
+  {
+    CheckpointStore checkpoint(path);
+    ASSERT_TRUE(checkpoint.Load().ok());
+    RunHooks hooks;
+    hooks.checkpoint = &checkpoint;
+    int prepared = 0;
+    ASSERT_TRUE(MakeRunner(MatcherKind::kLogistic, &prepared).Run(hooks).ok());
+    EXPECT_EQ(prepared, 2);
+  }
+  CheckpointStore checkpoint(path);
+  ASSERT_TRUE(checkpoint.Load().ok());
+  RunHooks hooks;
+  hooks.checkpoint = &checkpoint;
+  int prepared = 0;
+  auto resumed = MakeRunner(MatcherKind::kLogistic, &prepared).Run(hooks);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  EXPECT_EQ(prepared, 0);
+  EXPECT_EQ(ExperimentResultToJson(*resumed), ExperimentResultToJson(*clean));
+  std::remove(path.c_str());
+}
+
+TEST(ResumeTest, ResumePreparesOnlyDatasetsWithMissingCells) {
+  // The grid runs dataset-major, so killing it after two cells leaves all
+  // of tiny-a's cells and none of tiny-b's. The resumed run must prepare
+  // tiny-b alone and still equal a clean run byte for byte.
+  ScopedStableTiming stable;
+  auto clean = MakeRunner().Run();
+  ASSERT_TRUE(clean.ok());
+  const std::string path = CheckpointPath("prepare_one");
+  std::remove(path.c_str());
+  {
+    CheckpointStore checkpoint(path);
+    ASSERT_TRUE(checkpoint.Load().ok());
+    FaultInjector fault;
+    fault.ArmAfterCells(2);
+    RunHooks hooks;
+    hooks.checkpoint = &checkpoint;
+    hooks.fault = &fault;
+    ASSERT_FALSE(MakeRunner().Run(hooks).ok());
+  }
+  CheckpointStore checkpoint(path);
+  ASSERT_TRUE(checkpoint.Load().ok());
+  ASSERT_TRUE(checkpoint.IsDone(CellKey("", "tiny-a", "lime")));
+  ASSERT_TRUE(checkpoint.IsDone(CellKey("", "tiny-a", "random")));
+  ASSERT_EQ(checkpoint.done_cells(), 2);
+  RunHooks hooks;
+  hooks.checkpoint = &checkpoint;
+  int prepared = 0;
+  auto resumed = MakeRunner(MatcherKind::kLogistic, &prepared).Run(hooks);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  EXPECT_EQ(prepared, 1);
+  EXPECT_EQ(checkpoint.done_cells(), 4);
+  EXPECT_EQ(ExperimentResultToJson(*resumed), ExperimentResultToJson(*clean));
+  std::remove(path.c_str());
+}
+
+TEST(ResumeTest, SuiteWhoseNamesDependOnThePipelineIsRefused) {
+  // Run learns the variant names from a suite built on an untrained
+  // pipeline; a suite that names other variants once trained would key
+  // the checkpoint inconsistently.
+  ExperimentSpec spec = MakeRunner().spec();
+  spec.suite = [](const TrainedPipeline& pipeline) {
+    std::vector<SuiteEntry> suite;
+    suite.push_back({"random", std::make_unique<RandomExplainer>()});
+    if (pipeline.matcher != nullptr) {
+      suite.push_back({"random2", std::make_unique<RandomExplainer>()});
+    }
+    return suite;
+  };
+  auto result = ExperimentRunner(std::move(spec)).Run();
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(ResumeTest, StreamShardCarriesTheWholeGridAcrossRestarts) {
