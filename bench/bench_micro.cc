@@ -238,6 +238,55 @@ BENCHMARK(BM_FeaturizePerturbationBatch)
     ->Arg(static_cast<long>(crew::MatcherKind::kMlp))
     ->Arg(static_cast<long>(crew::MatcherKind::kRandomForest));
 
+// One explained pair as the eval layer scores it through the mlp matcher:
+// a 96-mask attribution batch, then ten 5-mask calls and six single-pair
+// calls over the same pair. The featurizer's per-thread memo carries the
+// attribute values of one call into the next, which a single batch
+// (BM_FeaturizePerturbationBatch) cannot show. Iterations cycle over
+// eight test pairs, so each sequence starts on another pair's memo.
+void BM_FeaturizeAcrossCalls(benchmark::State& state) {
+  constexpr int kPairs = 8;
+  constexpr int kBatch = 96;
+  constexpr int kSmallCalls = 10;
+  constexpr int kSmallBatch = 5;
+  constexpr int kSingles = 6;
+  constexpr int kMasks = kBatch + kSmallCalls * kSmallBatch + kSingles;
+  const auto& pipeline = PipelineFor(crew::MatcherKind::kMlp);
+  crew::Rng rng(17);
+  std::vector<std::vector<crew::RecordPair>> variants(kPairs);
+  for (int p = 0; p < kPairs; ++p) {
+    const crew::PairTokenView view(pipeline.train.schema(), crew::Tokenizer(),
+                                   pipeline.test.pair(p));
+    std::vector<bool> keep(view.size());
+    variants[p].resize(kMasks);
+    for (auto& pair : variants[p]) {
+      for (int i = 0; i < view.size(); ++i) keep[i] = rng.Bernoulli(0.7);
+      view.MaterializeInto(keep, &pair);
+    }
+  }
+  const crew::Matcher& matcher = *pipeline.matcher;
+  std::vector<double> scores(kMasks);
+  int p = 0;
+  for (auto _ : state) {
+    const crew::RecordPair* pairs = variants[p].data();
+    p = (p + 1) % kPairs;
+    matcher.PredictProbaBatch(pairs, kBatch, scores.data());
+    int next = kBatch;
+    for (int call = 0; call < kSmallCalls; ++call) {
+      matcher.PredictProbaBatch(pairs + next, kSmallBatch,
+                                scores.data() + next);
+      next += kSmallBatch;
+      if (call < kSingles) {
+        scores[next] = matcher.PredictProba(pairs[next]);
+        ++next;
+      }
+    }
+    benchmark::DoNotOptimize(scores.data());
+  }
+  state.SetItemsProcessed(state.iterations() * kMasks);
+}
+BENCHMARK(BM_FeaturizeAcrossCalls);
+
 void BM_SgnsEpoch(benchmark::State& state) {
   crew::Corpus corpus;
   crew::Rng rng(3);

@@ -575,6 +575,12 @@ Result<ExperimentResult> ExperimentRunner::RunPrepared(
 }
 
 Result<ExperimentResult> ExperimentRunner::Run(const RunHooks& hooks) const {
+  // A checkpoint of another configuration is refused before anything is
+  // prepared, not only when RunGrid writes the header.
+  if (hooks.checkpoint != nullptr) {
+    CREW_RETURN_IF_ERROR(
+        hooks.checkpoint->CheckHeader(ExperimentHeader(spec_)));
+  }
   // A dataset whose cells the checkpoint all holds is never prepared. The
   // rest are prepared serially, in dataset order: preparing them in
   // parallel was measured at 20% more peak memory.

@@ -298,7 +298,8 @@ class ExperimentRunner {
   /// adds streaming sinks, checkpoint restore/append, fault injection, and
   /// schedule shuffling; default hooks reproduce the plain batch run.
   /// Datasets are prepared serially, before the first cell, and only when
-  /// the checkpoint lacks at least one of their cells.
+  /// the checkpoint lacks at least one of their cells. A checkpoint that
+  /// CheckpointStore::CheckHeader refuses fails before any prepare.
   Result<ExperimentResult> Run(const RunHooks& hooks = RunHooks()) const;
 
   /// Run() over externally prepared datasets — lets budget sweeps reuse

@@ -1021,17 +1021,19 @@ Status CheckpointStore::Append(const std::string& scope,
   return Status::Ok();
 }
 
-Status CheckpointStore::WriteHeaderIfNew(const ExperimentResult& header) {
-  if (has_header_) {
-    if (experiment_ != header.name ||
-        !SameRunParams(params_, header.params)) {
-      return Status::FailedPrecondition(
-          "checkpoint " + path_ + " was written by " +
-          ConfigLabel(experiment_, params_) + ", refusing to resume " +
-          ConfigLabel(header.name, header.params));
-    }
-    return Status::Ok();
+Status CheckpointStore::CheckHeader(const ExperimentResult& header) const {
+  if (has_header_ && (experiment_ != header.name ||
+                      !SameRunParams(params_, header.params))) {
+    return Status::FailedPrecondition(
+        "checkpoint " + path_ + " was written by " +
+        ConfigLabel(experiment_, params_) + ", refusing to resume " +
+        ConfigLabel(header.name, header.params));
   }
+  return Status::Ok();
+}
+
+Status CheckpointStore::WriteHeaderIfNew(const ExperimentResult& header) {
+  if (has_header_) return CheckHeader(header);
   if (!has_records_) {
     CREW_RETURN_IF_ERROR(EnsureOpenForAppend());
     CREW_RETURN_IF_ERROR(WriteLine(file_, HeaderToJsonl(header), path_));

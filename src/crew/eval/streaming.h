@@ -144,11 +144,14 @@ class CheckpointStore {
   /// existing checkpoint never duplicates lines.
   Status Append(const std::string& scope, const ExperimentCell& cell);
 
-  /// Writes the header line if the file has no records yet. Otherwise the
-  /// stored experiment name and params must match `header`'s — all params
-  /// except "threads", which cannot change a result — or the resume is
-  /// refused with FailedPrecondition: a checkpoint of another
-  /// configuration must not fill this run's table.
+  /// FailedPrecondition when the stored header's experiment name or params
+  /// differ from `header`'s — all params except "threads", which cannot
+  /// change a result: a checkpoint of another configuration must not fill
+  /// this run's table. Ok when the file has no header yet.
+  Status CheckHeader(const ExperimentResult& header) const;
+
+  /// Writes the header line if the file has no records yet. Otherwise
+  /// refuses what CheckHeader refuses.
   Status WriteHeaderIfNew(const ExperimentResult& header);
 
   /// Number of completed cells known to the store.

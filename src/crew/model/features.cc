@@ -16,8 +16,9 @@ namespace {
 constexpr size_t kMaxLevenshteinLength = 48;
 
 // Memo entries per scratch: about one perturbation block's worth. Peak
-// memory grows with the cap, and 256 entries scored perturbation blocks
-// no faster than 64 (values that miss mostly never repeat).
+// memory grows with the cap (per featurizing thread, see ExtractInto), and
+// 256 entries scored perturbation blocks no faster than 64 (values that
+// miss mostly never repeat).
 constexpr size_t kMemoEntries = 64;
 
 double TypeSpecificSimilarity(AttributeType type, std::string_view a,
@@ -101,10 +102,21 @@ std::vector<std::string> PairFeaturizer::FeatureNames() const {
 }
 
 la::Vec PairFeaturizer::Extract(const RecordPair& pair) const {
-  Scratch scratch;
   la::Vec features;
-  ExtractInto(pair, &scratch, &features);
+  ExtractInto(pair, &features);
   return features;
+}
+
+void PairFeaturizer::ExtractInto(const RecordPair& pair, la::Vec* out) const {
+  // One memo per featurizing thread, kept across calls: consecutive scoring
+  // calls for one pair repeat most attribute values. Nothing featurizes
+  // from inside ExtractInto, so the scratch is never re-entered.
+  thread_local Scratch scratch;
+  thread_local bool in_use = false;
+  CREW_DCHECK(!in_use);
+  in_use = true;
+  ExtractInto(pair, &scratch, out);
+  in_use = false;
 }
 
 void PairFeaturizer::ExtractInto(const RecordPair& pair, Scratch* scratch,

@@ -29,11 +29,13 @@ class PairFeaturizer {
  public:
   /// Reusable state for ExtractInto: work buffers plus a memo of
   /// per-attribute results. An attribute's features and tokens are a pure
-  /// function of (featurizer, attribute, left value, right value), and a
-  /// perturbation block repeats most attribute values, so repeats are
-  /// served from the memo. The memo holds a fixed, small number of entries
-  /// and binds to one featurizer: a scratch passed to a different
-  /// featurizer drops it first. Keep one scratch per thread/batch.
+  /// function of (featurizer, attribute, left value, right value), and
+  /// perturbed variants of one pair repeat most attribute values, so
+  /// repeats are served from the memo. The memo holds a fixed, small
+  /// number of entries and binds to one featurizer: a scratch passed to a
+  /// different featurizer drops it first. Extract and the two-argument
+  /// ExtractInto use one scratch per thread that lives as long as the
+  /// thread; an explicit scratch must not be shared between threads.
   class Scratch {
    public:
     // Out of line: Entry is complete only in features.cc.
@@ -61,8 +63,13 @@ class PairFeaturizer {
 
   la::Vec Extract(const RecordPair& pair) const;
 
-  /// Extract writing into `out` (resized to FeatureCount()) with all
-  /// intermediate buffers drawn from `scratch`. Bit-identical to Extract.
+  /// Extract writing into `out` (resized to FeatureCount()) through the
+  /// calling thread's scratch, whose memo carries over from earlier calls
+  /// on that thread. Bit-identical to Extract.
+  void ExtractInto(const RecordPair& pair, la::Vec* out) const;
+
+  /// ExtractInto with all intermediate buffers drawn from `scratch`.
+  /// Bit-identical to Extract.
   void ExtractInto(const RecordPair& pair, Scratch* scratch,
                    la::Vec* out) const;
 

@@ -63,10 +63,9 @@ double LogisticMatcher::PredictProba(const RecordPair& pair) const {
 void LogisticMatcher::PredictProbaBatch(const RecordPair* pairs, size_t count,
                                         double* out) const {
   CREW_TRACE_SPAN("matcher/logistic");
-  PairFeaturizer::Scratch scratch;
   la::Vec x;
   for (size_t i = 0; i < count; ++i) {
-    featurizer_.ExtractInto(pairs[i], &scratch, &x);
+    featurizer_.ExtractInto(pairs[i], &x);
     scaler_.TransformInPlace(&x);
     out[i] = la::Sigmoid(la::Dot(weights_, x) + bias_);
   }

@@ -117,10 +117,9 @@ double MlpMatcher::PredictProba(const RecordPair& pair) const {
 void MlpMatcher::PredictProbaBatch(const RecordPair* pairs, size_t count,
                                    double* out) const {
   CREW_TRACE_SPAN("matcher/mlp");
-  PairFeaturizer::Scratch scratch;
   la::Vec x;
   for (size_t i = 0; i < count; ++i) {
-    featurizer_.ExtractInto(pairs[i], &scratch, &x);
+    featurizer_.ExtractInto(pairs[i], &x);
     scaler_.TransformInPlace(&x);
     out[i] = Forward(x);
   }

@@ -178,10 +178,9 @@ double RandomForestMatcher::PredictProba(const RecordPair& pair) const {
 void RandomForestMatcher::PredictProbaBatch(const RecordPair* pairs,
                                             size_t count, double* out) const {
   CREW_TRACE_SPAN("matcher/forest");
-  PairFeaturizer::Scratch scratch;
   la::Vec x;
   for (size_t i = 0; i < count; ++i) {
-    featurizer_.ExtractInto(pairs[i], &scratch, &x);
+    featurizer_.ExtractInto(pairs[i], &x);
     out[i] = PredictFeatures(x);
   }
 }

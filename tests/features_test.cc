@@ -5,8 +5,11 @@
 #include <bit>
 #include <cstdint>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "crew/common/rng.h"
+#include "crew/common/thread_pool.h"
 #include "crew/explain/token_view.h"
 
 namespace crew {
@@ -109,19 +112,31 @@ std::vector<RecordPair> PerturbationBlock(const Schema& schema,
   return block;
 }
 
-// Features through one shared scratch must equal fresh per-pair Extract.
-void ExpectExtractIntoMatchesExtract(const PairFeaturizer& f,
-                                     const RecordPair& pair,
-                                     PairFeaturizer::Scratch* scratch) {
+// The reference features: `pair` through a scratch no call has used yet.
+la::Vec FreshExtract(const PairFeaturizer& f, const RecordPair& pair) {
+  PairFeaturizer::Scratch fresh;
   la::Vec row;
-  f.ExtractInto(pair, scratch, &row);
-  const la::Vec expected = f.Extract(pair);
+  f.ExtractInto(pair, &fresh, &row);
+  return row;
+}
+
+void ExpectSameBits(const PairFeaturizer& f, const la::Vec& row,
+                    const la::Vec& expected) {
   ASSERT_EQ(row.size(), expected.size());
   for (size_t i = 0; i < row.size(); ++i) {
     EXPECT_EQ(std::bit_cast<uint64_t>(row[i]),
               std::bit_cast<uint64_t>(expected[i]))
         << f.FeatureNames()[i];
   }
+}
+
+// Features through one shared scratch must equal a fresh scratch's.
+void ExpectSharedScratchMatchesFresh(const PairFeaturizer& f,
+                                     const RecordPair& pair,
+                                     PairFeaturizer::Scratch* scratch) {
+  la::Vec row;
+  f.ExtractInto(pair, scratch, &row);
+  ExpectSameBits(f, row, FreshExtract(f, pair));
 }
 
 Schema ProductSchema() {
@@ -155,7 +170,7 @@ TEST(FeaturesMemoTest, BlockLargerThanMemoMatchesPerPairExtract) {
   // keeps, so entries are evicted and refilled mid-block.
   PairFeaturizer::Scratch scratch;
   for (const RecordPair& variant : PerturbationBlock(schema, pair, 400, 5)) {
-    ExpectExtractIntoMatchesExtract(f, variant, &scratch);
+    ExpectSharedScratchMatchesFresh(f, variant, &scratch);
   }
 }
 
@@ -178,7 +193,7 @@ TEST(FeaturesMemoTest, SchemaWiderThanMemoMatchesPerPairExtract) {
   const PairFeaturizer f(schema, nullptr);
   PairFeaturizer::Scratch scratch;
   for (const RecordPair& variant : PerturbationBlock(schema, pair, 20, 6)) {
-    ExpectExtractIntoMatchesExtract(f, variant, &scratch);
+    ExpectSharedScratchMatchesFresh(f, variant, &scratch);
   }
 }
 
@@ -198,9 +213,124 @@ TEST(FeaturesMemoTest, ScratchSharedAcrossFeaturizersRebinds) {
 
   PairFeaturizer::Scratch scratch;
   for (int i = 0; i < 30; ++i) {
-    ExpectExtractIntoMatchesExtract(products, product_block[i], &scratch);
-    ExpectExtractIntoMatchesExtract(names, name_block[i], &scratch);
-    ExpectExtractIntoMatchesExtract(bare, name_block[i], &scratch);
+    ExpectSharedScratchMatchesFresh(products, product_block[i], &scratch);
+    ExpectSharedScratchMatchesFresh(names, name_block[i], &scratch);
+    ExpectSharedScratchMatchesFresh(bare, name_block[i], &scratch);
+  }
+}
+
+// The thread's own scratch (Extract and two-argument ExtractInto) keeps
+// its memo across calls. Every vector it returns must still equal a fresh
+// scratch's, bit for bit, whatever ran on the thread before.
+
+TEST(FeaturesThreadMemoTest, AlternatingFeaturizersMatchFreshScratch) {
+  // The first attribute holds the same values under both featurizers, and
+  // only `products` has an embedding store: a stale hit across the two
+  // returns the wrong cosine.
+  const PairFeaturizer products(
+      ProductSchema(), MakeStore({"acme", "router", "wifi", "ax3000"}, 1));
+  const PairFeaturizer bare(MakeSchema(), nullptr);
+  const auto product_block =
+      PerturbationBlock(ProductSchema(), ProductPair(), 40, 9);
+  const RecordPair name_pair = MakePair(ProductPair().left.values[0], "10",
+                                        ProductPair().right.values[0], "12");
+  const auto name_block = PerturbationBlock(MakeSchema(), name_pair, 40, 10);
+  la::Vec row;
+  for (int i = 0; i < 40; ++i) {
+    ExpectSameBits(products, products.Extract(product_block[i]),
+                   FreshExtract(products, product_block[i]));
+    bare.ExtractInto(name_block[i], &row);
+    ExpectSameBits(bare, row, FreshExtract(bare, name_block[i]));
+    products.ExtractInto(product_block[i], &row);
+    ExpectSameBits(products, row, FreshExtract(products, product_block[i]));
+  }
+}
+
+TEST(FeaturesThreadMemoTest, RebuiltFeaturizerMatchesFreshScratch) {
+  // Each round builds a featurizer over the same schema and pairs but a
+  // different embedding store, then destroys it; its memo entries must not
+  // serve the next one.
+  const auto block = PerturbationBlock(ProductSchema(), ProductPair(), 30, 11);
+  for (uint64_t round = 1; round <= 4; ++round) {
+    auto f = std::make_unique<PairFeaturizer>(
+        ProductSchema(), MakeStore({"acme", "router", "wifi", "dual"}, round));
+    for (const RecordPair& variant : block) {
+      ExpectSameBits(*f, f->Extract(variant), FreshExtract(*f, variant));
+    }
+  }
+}
+
+TEST(FeaturesThreadMemoTest, MixedSingleAndBatchCallsMatchFreshScratch) {
+  // A matcher featurizes a batch as consecutive ExtractInto calls into one
+  // row, and a single pair through Extract. Interleave both over variants
+  // of one pair in eval-shaped call sizes. In the second case, a dropped
+  // "acme" leaves the text attribute holding the values the numeric one
+  // holds in other variants, so an entry keyed without its attribute
+  // serves the wrong typed similarity.
+  struct Case {
+    PairFeaturizer featurizer;
+    RecordPair pair;
+  };
+  const std::vector<std::string> vocab = {"acme", "router", "wifi", "10"};
+  const Case cases[] = {
+      {PairFeaturizer(ProductSchema(), MakeStore(vocab, 3)), ProductPair()},
+      {PairFeaturizer(MakeSchema(), MakeStore(vocab, 4)),
+       MakePair("acme 10", "10", "12", "12")},
+  };
+  for (const Case& c : cases) {
+    const PairFeaturizer& f = c.featurizer;
+    const auto block = PerturbationBlock(f.schema(), c.pair, 64, 12);
+    size_t next = 0;
+    la::Vec row;
+    for (int round = 0; round < 12; ++round) {
+      for (const int size : {64, 1, 5, 5, 1}) {
+        for (int i = 0; i < size; ++i) {
+          const RecordPair& variant = block[next++ % block.size()];
+          f.ExtractInto(variant, &row);
+          ExpectSameBits(f, row, FreshExtract(f, variant));
+        }
+        const RecordPair& single = block[next % block.size()];
+        ExpectSameBits(f, f.Extract(single), FreshExtract(f, single));
+        ExpectSameBits(f, f.Extract(c.pair), FreshExtract(f, c.pair));
+      }
+    }
+  }
+}
+
+TEST(FeaturesThreadMemoTest, ParallelForGivesIdenticalBitsAtOneAndFourThreads) {
+  // Each pool thread featurizes its chunk through its own scratch, which
+  // alternates between two featurizers.
+  const PairFeaturizer products(
+      ProductSchema(), MakeStore({"acme", "router", "wifi", "band"}, 5));
+  const PairFeaturizer names(MakeSchema(), nullptr);
+  const auto product_block =
+      PerturbationBlock(ProductSchema(), ProductPair(), 120, 13);
+  const auto name_block = PerturbationBlock(
+      MakeSchema(), MakePair("acme router 10", "10", "router 12", "12"), 120,
+      14);
+  auto featurize = [&](ThreadPool* pool) {
+    std::vector<la::Vec> rows(2 * product_block.size());
+    ParallelFor(pool, static_cast<int>(rows.size()), [&](int begin, int end) {
+      for (int i = begin; i < end; ++i) {
+        if (i % 2 == 0) {
+          products.ExtractInto(product_block[i / 2], &rows[i]);
+        } else {
+          names.ExtractInto(name_block[i / 2], &rows[i]);
+        }
+      }
+    });
+    return rows;
+  };
+  const std::vector<la::Vec> serial = featurize(nullptr);
+  ThreadPool pool(4);
+  const std::vector<la::Vec> parallel = featurize(&pool);
+  ASSERT_EQ(serial.size(), parallel.size());
+  for (size_t i = 0; i < serial.size(); ++i) {
+    const PairFeaturizer& f = i % 2 == 0 ? products : names;
+    const RecordPair& pair =
+        i % 2 == 0 ? product_block[i / 2] : name_block[i / 2];
+    ExpectSameBits(f, parallel[i], serial[i]);
+    ExpectSameBits(f, serial[i], FreshExtract(f, pair));
   }
 }
 

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -32,6 +33,8 @@ const Dataset& EasyDataset() {
   }();
   return *dataset;
 }
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
 
 class MatcherKindTest : public ::testing::TestWithParam<MatcherKind> {};
 
@@ -73,6 +76,49 @@ TEST_P(MatcherKindTest, PredictUsesCalibratedThreshold) {
     const RecordPair& pair = pipeline->test.pair(i);
     EXPECT_EQ(m.Predict(pair),
               m.PredictProba(pair) >= m.threshold() ? 1 : 0);
+  }
+}
+
+TEST_P(MatcherKindTest, ScoresIndependentOfEarlierCallsOnTheThread) {
+  // Feature-based matchers featurize through a memo that lives as long as
+  // the thread. Interleaved batch and single-pair calls here must score
+  // exactly what a new thread scores pair by pair, in reverse order.
+  auto pipeline = TrainPipeline(EasyDataset(), GetParam(), 0.7, 7);
+  ASSERT_TRUE(pipeline.ok());
+  const Matcher& m = *pipeline->matcher;
+  // Variants of six pairs, each with one value emptied: most attribute
+  // values repeat across calls.
+  std::vector<RecordPair> pairs;
+  for (int i = 0; i < 36; ++i) {
+    RecordPair pair = pipeline->test.pair(i % 6);
+    if (i >= 6) {
+      auto& values = i % 2 == 0 ? pair.left.values : pair.right.values;
+      values[(i / 6) % values.size()].clear();
+    }
+    pairs.push_back(std::move(pair));
+  }
+  std::vector<double> got(pairs.size());
+  m.PredictProbaBatch(pairs.data(), pairs.size(), got.data());
+  std::vector<double> got_again(pairs.size());
+  size_t next = 0;
+  for (const size_t size : {5, 1, 5, 5, 1, 5, 5, 1, 5, 3}) {
+    m.PredictProbaBatch(pairs.data() + next, size, got_again.data() + next);
+    next += size;
+    EXPECT_EQ(Bits(m.PredictProba(pairs[next % pairs.size()])),
+              Bits(got[next % pairs.size()]));
+  }
+  ASSERT_EQ(next, pairs.size());
+
+  std::vector<double> reference(pairs.size());
+  std::thread fresh([&] {
+    for (size_t i = pairs.size(); i-- > 0;) {
+      reference[i] = m.PredictProba(pairs[i]);
+    }
+  });
+  fresh.join();
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    EXPECT_EQ(Bits(got[i]), Bits(reference[i])) << i;
+    EXPECT_EQ(Bits(got_again[i]), Bits(reference[i])) << i;
   }
 }
 
@@ -186,8 +232,6 @@ double ForwardRowMajor(const RowMajorNet& net, const la::Vec& x) {
   }
   return la::Sigmoid(z);
 }
-
-uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
 
 TEST(EmbeddingBagNetTest, BitIdenticalToRowMajorLoops) {
   // 97 hidden units: well past the default 24 and not a multiple of any

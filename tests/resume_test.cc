@@ -216,6 +216,43 @@ TEST(ResumeTest, ResumePreparesOnlyDatasetsWithMissingCells) {
   std::remove(path.c_str());
 }
 
+TEST(ResumeTest, RefusedResumePreparesNoDataset) {
+  // Both datasets still miss a cell, so an accepted resume would prepare
+  // both. A changed matcher or seed must be refused before either is.
+  ScopedStableTiming stable;
+  const std::string path = CheckpointPath("refused_prepare");
+  std::remove(path.c_str());
+  {
+    CheckpointStore checkpoint(path);
+    ASSERT_TRUE(checkpoint.Load().ok());
+    FaultInjector fault;
+    fault.ArmAfterCells(1);
+    RunHooks hooks;
+    hooks.checkpoint = &checkpoint;
+    hooks.fault = &fault;
+    ASSERT_FALSE(MakeRunner().Run(hooks).ok());
+  }
+  int prepared = 0;
+  ExperimentSpec other_seed =
+      MakeRunner(MatcherKind::kLogistic, &prepared).spec();
+  other_seed.seed = 8;
+  std::vector<ExperimentRunner> refused;
+  refused.push_back(MakeRunner(MatcherKind::kRandomForest, &prepared));
+  refused.push_back(ExperimentRunner(std::move(other_seed)));
+  for (const ExperimentRunner& runner : refused) {
+    CheckpointStore checkpoint(path);
+    ASSERT_TRUE(checkpoint.Load().ok());
+    RunHooks hooks;
+    hooks.checkpoint = &checkpoint;
+    auto result = runner.Run(hooks);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
+    EXPECT_EQ(prepared, 0);
+    EXPECT_EQ(checkpoint.done_cells(), 1);
+  }
+  std::remove(path.c_str());
+}
+
 TEST(ResumeTest, SuiteWhoseNamesDependOnThePipelineIsRefused) {
   // Run learns the variant names from a suite built on an untrained
   // pipeline; a suite that names other variants once trained would key

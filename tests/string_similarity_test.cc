@@ -277,6 +277,35 @@ TEST_P(SimilarityExactnessTest, TokenListMeasuresMatchReferenceBitForBit) {
   }
 }
 
+// Strings around the 64-character word of the bit-parallel kernels, over
+// a small alphabet that includes bytes above 127.
+std::string WordBoundaryString(Rng& rng) {
+  static const char kAlphabet[] = {'a', 'b', 'c', '\xe9', '\xff'};
+  const int len = rng.Bernoulli(0.5) ? rng.UniformInt(0, 8)
+                                     : rng.UniformInt(56, 72);
+  std::string s;
+  for (int i = 0; i < len; ++i) s.push_back(kAlphabet[rng.UniformInt(5)]);
+  return s;
+}
+
+TEST_P(SimilarityExactnessTest, WordBoundaryLengthsMatchReferenceBitForBit) {
+  Rng rng(GetParam());
+  std::vector<std::string> pool(10);
+  for (auto& t : pool) t = WordBoundaryString(rng);
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::string a = WordBoundaryString(rng);
+    const std::string b = WordBoundaryString(rng);
+    EXPECT_EQ(LevenshteinDistance(a, b), reference::LevenshteinDistance(a, b))
+        << a.size() << " vs " << b.size();
+    EXPECT_EQ(Bits(JaroWinklerSimilarity(a, b)),
+              Bits(reference::JaroWinklerSimilarity(a, b)));
+    const auto ta = RandomTokens(rng, pool);
+    const auto tb = RandomTokens(rng, pool);
+    EXPECT_EQ(Bits(MongeElkanSimilarity(ta, tb)),
+              Bits(reference::MongeElkanSimilarity(ta, tb)));
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, SimilarityExactnessTest,
                          ::testing::Values(11, 12, 13, 14, 15, 16, 17, 18));
 
