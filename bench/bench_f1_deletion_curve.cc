@@ -20,9 +20,10 @@ int main(int argc, char** argv) {
   auto spec = crew::bench::SpecFromOptions("f1_deletion_curve", options);
   spec.eval.curve_fractions = fractions;
   crew::ExperimentRunner runner(std::move(spec));
-  auto setup = crew::bench::ValueOrDie(crew::MakeStreamSetup(options.run));
+  auto setup = crew::bench::ValueOrDie(crew::MakeStreamSetup(options.run),
+                                        options.run);
   auto result = runner.Run(setup.hooks);
-  crew::bench::DieIfError(result.status());
+  crew::bench::DieIfError(result.status(), options.run);
 
   std::vector<std::string> header = {"explainer"};
   for (double f : fractions) header.push_back(crew::Table::Num(f, 1));

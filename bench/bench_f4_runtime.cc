@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
       options.instances, options.run.threads, crew::HardwareThreads());
 
   auto prepared = crew::PrepareDataset(base_spec.datasets[0], base_spec);
-  crew::bench::DieIfError(prepared.status());
+  crew::bench::DieIfError(prepared.status(), options.run);
   std::vector<crew::PreparedDataset> prepared_all;
   prepared_all.push_back(std::move(prepared.value()));
 
@@ -59,7 +59,8 @@ int main(int argc, char** argv) {
   // checkpoint/shard, disambiguated by a per-point "samples=N" scope. The
   // "samples" metric is stamped after the runner returns, so fresh and
   // restored cells take the same path and resumed JSON stays identical.
-  auto setup = crew::bench::ValueOrDie(crew::MakeStreamSetup(options.run));
+  auto setup = crew::bench::ValueOrDie(crew::MakeStreamSetup(options.run),
+                                        options.run);
   crew::ExperimentResult result;
   result.name = base_spec.name;
   for (int samples : sweep) {
@@ -77,7 +78,7 @@ int main(int argc, char** argv) {
     if (setup.stream != nullptr) setup.stream->set_scope(hooks.scope);
     crew::ExperimentRunner runner(std::move(spec));
     auto swept = runner.RunPrepared(prepared_all, hooks);
-    crew::bench::DieIfError(swept.status());
+    crew::bench::DieIfError(swept.status(), options.run);
     if (result.params.empty()) result.params = swept->params;
     for (auto& cell : swept->cells) {
       cell.metrics.push_back({"samples", static_cast<double>(samples)});

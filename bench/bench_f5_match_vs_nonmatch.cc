@@ -19,9 +19,10 @@ int main(int argc, char** argv) {
 
   crew::ExperimentRunner runner(
       crew::bench::SpecFromOptions("f5_match_vs_nonmatch", options));
-  auto setup = crew::bench::ValueOrDie(crew::MakeStreamSetup(options.run));
+  auto setup = crew::bench::ValueOrDie(crew::MakeStreamSetup(options.run),
+                                        options.run);
   auto result = runner.Run(setup.hooks);
-  crew::bench::DieIfError(result.status());
+  crew::bench::DieIfError(result.status(), options.run);
 
   // The split is a filtered re-reduction of the per-instance records the
   // runner already collected — no second evaluation pass.

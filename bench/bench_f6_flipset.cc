@@ -19,9 +19,10 @@ int main(int argc, char** argv) {
 
   crew::ExperimentRunner runner(
       crew::bench::SpecFromOptions("f6_flipset", options));
-  auto setup = crew::bench::ValueOrDie(crew::MakeStreamSetup(options.run));
+  auto setup = crew::bench::ValueOrDie(crew::MakeStreamSetup(options.run),
+                                        options.run);
   auto result = runner.Run(setup.hooks);
-  crew::bench::DieIfError(result.status());
+  crew::bench::DieIfError(result.status(), options.run);
 
   // Cross-dataset summary: flip stats are part of every per-instance
   // record, so this is a pure re-reduction.

@@ -48,9 +48,10 @@ int main(int argc, char** argv) {
     return suite;
   };
   crew::ExperimentRunner runner(std::move(spec));
-  auto setup = crew::bench::ValueOrDie(crew::MakeStreamSetup(options.run));
+  auto setup = crew::bench::ValueOrDie(crew::MakeStreamSetup(options.run),
+                                        options.run);
   auto result = runner.Run(setup.hooks);
-  crew::bench::DieIfError(result.status());
+  crew::bench::DieIfError(result.status(), options.run);
 
   crew::PrintResultTable(
       crew::bench::SummaryAcrossDatasets(*result),

@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark) for the hot inner loops: tokenizer,
 // string similarity, ridge solve, agglomerative clustering, matcher
-// prediction, SGNS training step throughput.
+// prediction and training, SGNS training step throughput.
 
 #include <benchmark/benchmark.h>
 
@@ -14,6 +14,7 @@
 #include "crew/explain/token_view.h"
 #include "crew/la/ridge.h"
 #include "crew/model/embedding_bag_matcher.h"
+#include "crew/model/mlp_matcher.h"
 #include "crew/model/trainer.h"
 #include "crew/text/string_similarity.h"
 #include "crew/text/tokenizer.h"
@@ -208,6 +209,28 @@ void BM_TrainEmbeddingBag(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * pipeline->train.size());
 }
 BENCHMARK(BM_TrainEmbeddingBag)->Unit(benchmark::kMillisecond);
+
+// Mlp training on the same split: featurizing the training pairs plus 60
+// epochs of SGD, the per-dataset matcher cost of the paper grid's prepare.
+void BM_TrainMlp(benchmark::State& state) {
+  static const auto* pipeline = [] {
+    auto d = crew::GenerateDataset(crew::StandardBenchmark()[0].config);
+    CREW_CHECK(d.ok());
+    auto p = crew::TrainPipeline(d.value(), crew::MatcherKind::kMlp, 0.7, 7);
+    CREW_CHECK(p.ok());
+    return new crew::TrainedPipeline(std::move(p.value()));
+  }();
+  crew::MlpConfig config;
+  config.seed = 7;
+  for (auto _ : state) {
+    auto matcher =
+        crew::MlpMatcher::Train(pipeline->train, pipeline->embeddings, config);
+    CREW_CHECK(matcher.ok());
+    benchmark::DoNotOptimize(matcher.value().get());
+  }
+  state.SetItemsProcessed(state.iterations() * pipeline->train.size());
+}
+BENCHMARK(BM_TrainMlp)->Unit(benchmark::kMillisecond);
 
 // One scoring block through a featurizer-based matcher: 64 random
 // keep-mask variants of one pair (BatchScorer's block size). Variants

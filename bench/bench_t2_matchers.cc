@@ -51,9 +51,10 @@ int main(int argc, char** argv) {
       tasks.push_back({entries[d].name, crew::MatcherKindName(kind), compute});
     }
   }
-  auto setup = crew::bench::ValueOrDie(crew::MakeStreamSetup(options.run));
+  auto setup = crew::bench::ValueOrDie(crew::MakeStreamSetup(options.run),
+                                        options.run);
   auto result = crew::RunGrid(std::move(header), tasks, setup.hooks);
-  crew::bench::DieIfError(result.status());
+  crew::bench::DieIfError(result.status(), options.run);
 
   crew::bench::EmitExperiment(
       *result, options,

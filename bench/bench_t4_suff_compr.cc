@@ -17,9 +17,10 @@ int main(int argc, char** argv) {
 
   crew::ExperimentRunner runner(
       crew::bench::SpecFromOptions("t4_suff_compr", options));
-  auto setup = crew::bench::ValueOrDie(crew::MakeStreamSetup(options.run));
+  auto setup = crew::bench::ValueOrDie(crew::MakeStreamSetup(options.run),
+                                        options.run);
   auto result = runner.Run(setup.hooks);
-  crew::bench::DieIfError(result.status());
+  crew::bench::DieIfError(result.status(), options.run);
 
   crew::bench::EmitExperiment(
       *result, options,

@@ -18,9 +18,10 @@ int main(int argc, char** argv) {
 
   crew::ExperimentRunner runner(
       crew::bench::SpecFromOptions("t5_comprehensibility", options));
-  auto setup = crew::bench::ValueOrDie(crew::MakeStreamSetup(options.run));
+  auto setup = crew::bench::ValueOrDie(crew::MakeStreamSetup(options.run),
+                                        options.run);
   auto result = runner.Run(setup.hooks);
-  crew::bench::DieIfError(result.status());
+  crew::bench::DieIfError(result.status(), options.run);
 
   crew::bench::EmitExperiment(
       *result, options,

@@ -24,9 +24,10 @@ int main(int argc, char** argv) {
   spec.eval.stability_seeds = seeds;
   spec.eval.stability_top_k = top_k;
   crew::ExperimentRunner runner(std::move(spec));
-  auto setup = crew::bench::ValueOrDie(crew::MakeStreamSetup(options.run));
+  auto setup = crew::bench::ValueOrDie(crew::MakeStreamSetup(options.run),
+                                        options.run);
   auto result = runner.Run(setup.hooks);
-  crew::bench::DieIfError(result.status());
+  crew::bench::DieIfError(result.status(), options.run);
 
   crew::bench::EmitExperiment(
       *result, options,

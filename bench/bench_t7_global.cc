@@ -48,10 +48,11 @@ int main(int argc, char** argv) {
     };
     tasks.push_back({entry.name, "crew-global", compute});
   }
-  auto setup = crew::bench::ValueOrDie(crew::MakeStreamSetup(options.run));
+  auto setup = crew::bench::ValueOrDie(crew::MakeStreamSetup(options.run),
+                                        options.run);
   auto result =
       crew::RunGrid(crew::ExperimentHeader(spec), tasks, setup.hooks);
-  crew::bench::DieIfError(result.status());
+  crew::bench::DieIfError(result.status(), options.run);
 
   crew::bench::EmitExperiment(
       *result, options,

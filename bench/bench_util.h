@@ -35,6 +35,24 @@ T ValueOrDie(Result<T> result) {
   return std::move(result).value();
 }
 
+/// DieIfError for a step of the run itself: a failed run still writes its
+/// --trace, with the spans up to the failure, before it exits.
+inline void DieIfError(const Status& status, const RunControl& run) {
+  if (!status.ok()) {
+    if (Status written = WriteTrace(run); !written.ok()) {
+      std::fprintf(stderr, "%s\n", written.ToString().c_str());
+    }
+  }
+  DieIfError(status);
+}
+
+/// ValueOrDie that writes --trace on failure, as DieIfError(status, run).
+template <typename T>
+T ValueOrDie(Result<T> result, const RunControl& run) {
+  DieIfError(result.status(), run);
+  return std::move(result).value();
+}
+
 /// Which experiment knobs a bench declares: all of them, or only the data
 /// knobs for benches that explain nothing and train every matcher (t1,
 /// t2), so that --matcher, --instances and --samples are refused there

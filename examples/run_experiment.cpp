@@ -1,6 +1,6 @@
 // Run a custom experiment grid through the instance-parallel
-// ExperimentRunner: pick datasets and an explainer line-up, shard the
-// explained instances across the scoring pool, and emit the result as an
+// ExperimentRunner: pick datasets and an explainer line-up, spread the
+// explained instances over the scoring pool, and emit the result as an
 // aligned table plus (optionally) the self-describing JSON document.
 //
 // The aggregates are bit-identical for any --threads value: instances
@@ -71,24 +71,28 @@ int main(int argc, char** argv) {
         pipeline.embeddings, pipeline.train, config));
   };
 
+  // A failed run still writes --trace, with the spans up to the failure.
+  auto fail = [&run](const crew::Status& status) {
+    if (auto written = crew::WriteTrace(run); !written.ok()) {
+      std::fprintf(stderr, "%s\n", written.ToString().c_str());
+    }
+    std::fprintf(stderr, "%s\n", status.ToString().c_str());
+    return 1;
+  };
+
   // 2. Assemble the streaming hooks the run-control flags ask for: a
   //    checkpoint store for --resume, a JSONL shard for --stream, a live
   //    partial table, and the fault injector (--fail-after-cells, or the
   //    CREW_FAULT_SEED / CREW_FAULT_HARD environment knobs).
   auto setup = crew::MakeStreamSetup(run);
-  if (!setup.ok()) {
-    std::fprintf(stderr, "%s\n", setup.status().ToString().c_str());
-    return 1;
-  }
+  if (!setup.ok()) return fail(setup.status());
 
-  // 3. Execute: instances shard across the scoring pool; perturbation
-  //    scoring nested inside a shard runs inline (one pool, two levels).
+  // 3. Execute: each pool worker claims instances one at a time;
+  //    perturbation scoring nested inside an instance runs inline (one
+  //    pool, two levels).
   crew::ExperimentRunner runner(std::move(spec));
   auto result = runner.Run(setup->hooks);
-  if (!result.ok()) {
-    std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
-    return 1;
-  }
+  if (!result.ok()) return fail(result.status());
 
   // 4. Emit: console table (plus the --metrics block), then --json and
   //    --trace if asked.

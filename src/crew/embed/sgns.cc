@@ -32,10 +32,51 @@ std::vector<int> BuildNegativeTable(const Vocabulary& vocab, int table_size) {
   return table;
 }
 
+// dots[k] = sum_x vin[x] * rows[k][x], each summed from 0.0 in x order,
+// exactly as one serial dot product would; up to four chains run
+// interleaved so their adds overlap instead of waiting on each other.
+void InterleavedDots(const double* vin, const double* const* rows, int m,
+                     int d, double* dots) {
+  int k = 0;
+  for (; k + 4 <= m; k += 4) {
+    const double* r0 = rows[k];
+    const double* r1 = rows[k + 1];
+    const double* r2 = rows[k + 2];
+    const double* r3 = rows[k + 3];
+    double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+    for (int x = 0; x < d; ++x) {
+      s0 += vin[x] * r0[x];
+      s1 += vin[x] * r1[x];
+      s2 += vin[x] * r2[x];
+      s3 += vin[x] * r3[x];
+    }
+    dots[k] = s0;
+    dots[k + 1] = s1;
+    dots[k + 2] = s2;
+    dots[k + 3] = s3;
+  }
+  for (; k + 2 <= m; k += 2) {
+    const double* r0 = rows[k];
+    const double* r1 = rows[k + 1];
+    double s0 = 0.0, s1 = 0.0;
+    for (int x = 0; x < d; ++x) {
+      s0 += vin[x] * r0[x];
+      s1 += vin[x] * r1[x];
+    }
+    dots[k] = s0;
+    dots[k + 1] = s1;
+  }
+  for (; k < m; ++k) {
+    double s = 0.0;
+    for (int x = 0; x < d; ++x) s += vin[x] * rows[k][x];
+    dots[k] = s;
+  }
+}
+
 }  // namespace
 
-Result<EmbeddingStore> TrainSgnsEmbeddings(const Corpus& corpus,
-                                           const SgnsConfig& config) {
+Result<SgnsVectors> TrainSgnsVectors(const Corpus& corpus,
+                                     const SgnsConfig& config) {
   if (config.dim <= 0 || config.epochs <= 0 || config.negative_samples < 0) {
     return Status::InvalidArgument("TrainSgnsEmbeddings: bad configuration");
   }
@@ -77,7 +118,11 @@ Result<EmbeddingStore> TrainSgnsEmbeddings(const Corpus& corpus,
       // out starts at zero (word2vec convention).
     }
   }
-  const std::vector<int> neg_table = BuildNegativeTable(vocab, 1 << 16);
+  // A power of two, so a negative draw is the low bits of one raw draw:
+  // the same value as UniformInt(kNegTableSize), without the division.
+  constexpr int kNegTableSize = 1 << 16;
+  static_assert((kNegTableSize & (kNegTableSize - 1)) == 0);
+  const std::vector<int> neg_table = BuildNegativeTable(vocab, kNegTableSize);
 
   // Subsampling keep-probability per token id.
   std::vector<double> keep(v, 1.0);
@@ -97,12 +142,18 @@ Result<EmbeddingStore> TrainSgnsEmbeddings(const Corpus& corpus,
       static_cast<int64_t>(config.epochs) * corpus_tokens;
   int64_t step = 0;
   std::vector<double> grad_center(d);
+  std::vector<int> kept;
+  // One (center, context) step's targets: the context word, then the
+  // negatives that differ from it, in draw order.
+  const int max_targets = 1 + config.negative_samples;
+  std::vector<int> targets(max_targets);
+  std::vector<const double*> target_rows(max_targets);
+  std::vector<double> dots(max_targets);
 
   for (int epoch = 0; epoch < config.epochs; ++epoch) {
     for (const auto& sentence : ids) {
       // Apply subsampling per epoch pass.
-      std::vector<int> kept;
-      kept.reserve(sentence.size());
+      kept.clear();
       for (int id : sentence) {
         if (keep[id] >= 1.0 || rng.Bernoulli(keep[id])) kept.push_back(id);
       }
@@ -120,23 +171,40 @@ Result<EmbeddingStore> TrainSgnsEmbeddings(const Corpus& corpus,
         double* vin = in.Row(center);
         for (int t = lo; t <= hi; ++t) {
           if (t == c) continue;
+          // Draw every negative first: the draws do not depend on the
+          // updates, so the RNG sequence is the serial loop's.
+          int m = 0;
+          targets[m++] = kept[t];
+          for (int k = 1; k <= config.negative_samples; ++k) {
+            const int target = neg_table[rng.NextRaw() & (kNegTableSize - 1)];
+            if (target != kept[t]) targets[m++] = target;
+          }
+          // Negatives never equal the context word; check them pairwise.
+          bool distinct = true;
+          for (int a = 2; a < m && distinct; ++a) {
+            const auto end = targets.begin() + a;
+            distinct = std::find(targets.begin() + 1, end, targets[a]) == end;
+          }
           std::fill(grad_center.begin(), grad_center.end(), 0.0);
-          // Positive example + negatives.
-          for (int k = 0; k <= config.negative_samples; ++k) {
-            int target;
-            double label;
-            if (k == 0) {
-              target = kept[t];
-              label = 1.0;
+          if (distinct) {
+            // vin changes only after the targets, and each distinct vout
+            // row only on its own turn, so every dot can be taken up front
+            // and equals the serial loop's.
+            for (int k = 0; k < m; ++k) target_rows[k] = out.Row(targets[k]);
+            InterleavedDots(vin, target_rows.data(), m, d, dots.data());
+          }
+          // Positive example (k == 0), then the negatives, in draw order.
+          for (int k = 0; k < m; ++k) {
+            double* vout = out.Row(targets[k]);
+            double dot;
+            if (distinct) {
+              dot = dots[k];
             } else {
-              target =
-                  neg_table[rng.UniformInt(static_cast<int>(neg_table.size()))];
-              if (target == kept[t]) continue;
-              label = 0.0;
+              // A repeated target must see its own earlier update.
+              dot = 0.0;
+              for (int x = 0; x < d; ++x) dot += vin[x] * vout[x];
             }
-            double* vout = out.Row(target);
-            double dot = 0.0;
-            for (int x = 0; x < d; ++x) dot += vin[x] * vout[x];
+            const double label = k == 0 ? 1.0 : 0.0;
             const double g = (la::Sigmoid(dot) - label) * lr;
             for (int x = 0; x < d; ++x) {
               grad_center[x] += g * vout[x];
@@ -148,7 +216,14 @@ Result<EmbeddingStore> TrainSgnsEmbeddings(const Corpus& corpus,
       }
     }
   }
-  return EmbeddingStore(std::move(vocab), std::move(in));
+  return SgnsVectors{std::move(vocab), std::move(in)};
+}
+
+Result<EmbeddingStore> TrainSgnsEmbeddings(const Corpus& corpus,
+                                           const SgnsConfig& config) {
+  auto trained = TrainSgnsVectors(corpus, config);
+  if (!trained.ok()) return trained.status();
+  return EmbeddingStore(std::move(trained->vocab), std::move(trained->in));
 }
 
 }  // namespace crew

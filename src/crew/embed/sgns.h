@@ -18,8 +18,19 @@ struct SgnsConfig {
   uint64_t seed = 13;
 };
 
+/// The pruned vocabulary and the raw input (center) vectors SGNS trained,
+/// one row per vocabulary id, before EmbeddingStore normalizes them.
+struct SgnsVectors {
+  Vocabulary vocab;
+  la::Matrix in;
+};
+
 /// word2vec skip-gram with negative sampling, trained with plain SGD over
-/// the corpus. Returns the input (center) vectors as the embedding table.
+/// the corpus.
+Result<SgnsVectors> TrainSgnsVectors(const Corpus& corpus,
+                                     const SgnsConfig& config);
+
+/// TrainSgnsVectors as an embedding table.
 Result<EmbeddingStore> TrainSgnsEmbeddings(const Corpus& corpus,
                                            const SgnsConfig& config);
 

@@ -64,13 +64,16 @@ Status WriteJsonAndTrace(const ExperimentResult& result,
     CREW_RETURN_IF_ERROR(WriteExperimentJson(result, run.json));
     std::printf("wrote %s\n", run.json.c_str());
   }
-  if (!run.trace.empty()) {
-    const size_t events = CollectTraceEvents().size();
-    CREW_RETURN_IF_ERROR(WriteChromeTrace(run.trace));
-    std::printf("wrote %s (%zu trace events, %lld overwritten)\n",
-                run.trace.c_str(), events,
-                static_cast<long long>(TraceDroppedEvents()));
-  }
+  return WriteTrace(run);
+}
+
+Status WriteTrace(const RunControl& run) {
+  if (run.trace.empty()) return Status::Ok();
+  const size_t events = CollectTraceEvents().size();
+  CREW_RETURN_IF_ERROR(WriteChromeTrace(run.trace));
+  std::printf("wrote %s (%zu trace events, %lld overwritten)\n",
+              run.trace.c_str(), events,
+              static_cast<long long>(TraceDroppedEvents()));
   return Status::Ok();
 }
 

@@ -57,6 +57,10 @@ Result<StreamSetup> MakeStreamSetup(const RunControl& run,
 Status WriteJsonAndTrace(const ExperimentResult& result,
                          const RunControl& run);
 
+/// The --trace leg alone (a no-op without --trace). A failed run calls it
+/// before exiting, so the spans up to the failure can be inspected.
+Status WriteTrace(const RunControl& run);
+
 }  // namespace crew
 
 #endif  // CREW_EVAL_RUN_CONTROL_H_

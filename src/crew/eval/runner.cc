@@ -240,12 +240,17 @@ Result<std::vector<InstanceEvaluation>> EvaluateInstances(
   std::vector<InstanceEvaluation> records(n);
   std::vector<Status> errors(n);
   ProgressMeter progress(n);
-  // Every slot is written by exactly one chunk, and the per-instance seed
-  // depends only on the pair index, so any thread count produces the same
-  // records. Scoring nested inside a chunk runs inline (ParallelFor's
-  // nesting rule) — one pool, no oversubscription.
-  ParallelFor(SharedScoringPool(), n, [&](int begin, int end) {
-    for (int i = begin; i < end; ++i) {
+  // One lane per worker; each lane claims the next unclaimed position, so
+  // a slow instance holds up only its own lane, not a fixed share of the
+  // rest. Every slot is written by exactly one lane, and the
+  // per-instance seed depends only on the pair index, so any thread count
+  // produces the same records. Scoring nested inside a lane runs inline
+  // (ParallelFor's nesting rule) — one pool, no oversubscription.
+  ThreadPool* pool = SharedScoringPool();
+  const int lanes = std::min(n, pool == nullptr ? 1 : pool->size());
+  std::atomic<int> next{0};
+  ParallelFor(pool, lanes, [&](int, int) {
+    for (int i = next++; i < n; i = next++) {
       auto r = EvaluateInstance(explainer, matcher, test, indices[i],
                                 embeddings, seed, options);
       if (r.ok()) {

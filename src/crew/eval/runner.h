@@ -142,12 +142,13 @@ Result<InstanceEvaluation> EvaluateInstance(
     int index, const EmbeddingStore* embeddings, uint64_t seed,
     const InstanceEvalOptions& options = InstanceEvalOptions());
 
-/// EvaluateInstance over `indices`, sharded across the shared scoring pool
-/// (SetScoringThreads). Results are written by index and errors are
-/// reported in index order, so output is bit-identical for any thread
-/// count. Perturbation scoring nested inside a sharded instance runs
-/// inline (see ParallelFor's nesting rule) — the two parallelism levels
-/// compose without oversubscribing the pool.
+/// EvaluateInstance over `indices` on the shared scoring pool
+/// (SetScoringThreads): one lane per worker, each claiming the next
+/// instance until none is left. Results are written by index and errors
+/// are reported in index order, so output is bit-identical for any thread
+/// count. Perturbation scoring nested inside a lane runs inline (see
+/// ParallelFor's nesting rule) — the two parallelism levels compose
+/// without oversubscribing the pool.
 Result<std::vector<InstanceEvaluation>> EvaluateInstances(
     const Explainer& explainer, const Matcher& matcher, const Dataset& test,
     const std::vector<int>& indices, const EmbeddingStore* embeddings,

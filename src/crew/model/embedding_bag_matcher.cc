@@ -1,5 +1,6 @@
 #include "crew/model/embedding_bag_matcher.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "crew/common/logging.h"
@@ -125,9 +126,12 @@ EmbeddingBagNet EmbeddingBagNet::Train(const std::vector<la::Vec>& rows,
     rng.Shuffle(order);
     const double lr =
         config.learning_rate / (1.0 + 0.05 * static_cast<double>(epoch));
-    for (int idx : order) {
+    // The first example's hidden sums start the epoch; every later
+    // example's are accumulated by the previous example's weight update.
+    HiddenSums(net.w1t, net.b1, rows[order[0]], &hidden);
+    for (int k = 0; k < n; ++k) {
+      const int idx = order[k];
       const la::Vec& x = rows[idx];
-      HiddenSums(net.w1t, net.b1, x, &hidden);
       for (int i = 0; i < h; ++i) hidden[i] = std::tanh(hidden[i]);
       const double p = la::Sigmoid(la::Dot(net.w2, hidden) + net.b2);
       const double err = p - labels[idx];
@@ -139,12 +143,24 @@ EmbeddingBagNet EmbeddingBagNet::Train(const std::vector<la::Vec>& rows,
         net.b1[i] -= lr * delta_hidden[i];
       }
       // Element-wise, so updating by input column is the same arithmetic
-      // as updating by unit row.
+      // as updating by unit row. Within the epoch the next example is
+      // known, so one pass over w1t both updates column j and adds its
+      // updated weights into the next example's sums, which start from the
+      // updated b1 and add their terms in input order, as HiddenSums does.
+      // The last example's pass fills sums nobody reads: the next epoch
+      // reshuffles and starts over.
+      const la::Vec& next = rows[order[std::min(k + 1, n - 1)]];
+      const double* dh = delta_hidden.data();
+      const double l2 = config.l2;
+      hidden.assign(net.b1.begin(), net.b1.end());
+      double* s = hidden.data();
       for (int j = 0; j < d; ++j) {
         double* col = net.w1t.Row(j);
         const double xj = x[j];
+        const double nj = next[j];
         for (int i = 0; i < h; ++i) {
-          col[i] -= lr * (delta_hidden[i] * xj + config.l2 * col[i]);
+          col[i] -= lr * (dh[i] * xj + l2 * col[i]);
+          s[i] += col[i] * nj;
         }
       }
       net.b2 -= lr * err;

@@ -2,6 +2,7 @@
 #define CREW_MODEL_MLP_MATCHER_H_
 
 #include <memory>
+#include <vector>
 
 #include "crew/common/status.h"
 #include "crew/data/dataset.h"
@@ -17,6 +18,27 @@ struct MlpConfig {
   double learning_rate = 0.05;
   double l2 = 1e-4;
   uint64_t seed = 19;
+};
+
+/// The matcher's network: one tanh hidden layer and a sigmoid output over
+/// scaled features, trained by per-example SGD. Training and Forward add
+/// the hidden bias at opposite ends of the sum: a training sum starts at 0
+/// and adds b1[i] last, Forward starts from b1[i]. Both orders are kept
+/// because every trained weight depends on the first and every score on
+/// the second.
+struct MlpNet {
+  la::Matrix w1;  ///< hidden x input
+  la::Vec b1;
+  la::Vec w2;  ///< hidden
+  double b2 = 0.0;
+
+  /// SGD on `rows` (labels 0/1) for config.epochs epochs, in an order
+  /// shuffled by config.seed. `rows` must be non-empty and equally sized.
+  static MlpNet Train(const std::vector<la::Vec>& rows,
+                      const std::vector<int>& labels, const MlpConfig& config);
+
+  /// P(match) of the scaled feature vector `x`.
+  double Forward(const la::Vec& x) const;
 };
 
 /// One-hidden-layer (tanh) neural matcher over PairFeaturizer features,
@@ -36,20 +58,14 @@ class MlpMatcher : public Matcher {
   std::string Name() const override { return "mlp"; }
 
  private:
-  MlpMatcher(PairFeaturizer featurizer, FeatureScaler scaler, la::Matrix w1,
-             la::Vec b1, la::Vec w2, double b2, double threshold)
+  MlpMatcher(PairFeaturizer featurizer, FeatureScaler scaler, MlpNet net,
+             double threshold)
       : featurizer_(std::move(featurizer)), scaler_(std::move(scaler)),
-        w1_(std::move(w1)), b1_(std::move(b1)), w2_(std::move(w2)), b2_(b2),
-        threshold_(threshold) {}
-
-  double Forward(const la::Vec& x) const;
+        net_(std::move(net)), threshold_(threshold) {}
 
   PairFeaturizer featurizer_;
   FeatureScaler scaler_;
-  la::Matrix w1_;  // hidden x input
-  la::Vec b1_;
-  la::Vec w2_;  // hidden
-  double b2_;
+  MlpNet net_;
   double threshold_;
 };
 

@@ -13,6 +13,7 @@
 #include "crew/data/generator.h"
 #include "crew/la/matrix.h"
 #include "crew/model/embedding_bag_matcher.h"
+#include "crew/model/mlp_matcher.h"
 #include "crew/model/trainer.h"
 
 namespace crew {
@@ -272,6 +273,116 @@ TEST(EmbeddingBagNetTest, BitIdenticalToRowMajorLoops) {
         la::Vec x(d);
         for (double& v : x) v = rng.Uniform(-2.0, 2.0);
         EXPECT_EQ(Bits(net.Forward(x, &sums)), Bits(ForwardRowMajor(ref, x)));
+      }
+    }
+  }
+}
+
+// The mlp network as it was first written: one la::Dot over a copy of
+// each unit's row in training, b1[i] added after it. MlpNet must
+// reproduce it bit for bit.
+struct SerialMlp {
+  la::Matrix w1;  // h x d
+  la::Vec b1, w2;
+  double b2 = 0.0;
+};
+
+SerialMlp TrainMlpSerial(const std::vector<la::Vec>& rows,
+                         const std::vector<int>& labels,
+                         const MlpConfig& config) {
+  const int n = static_cast<int>(rows.size());
+  const int d = static_cast<int>(rows[0].size());
+  const int h = config.hidden_units;
+  Rng rng(config.seed);
+  la::Matrix w1(h, d);
+  la::Vec b1(h, 0.0), w2(h, 0.0);
+  double b2 = 0.0;
+  const double init = 1.0 / std::sqrt(static_cast<double>(d));
+  for (int i = 0; i < h; ++i) {
+    for (int j = 0; j < d; ++j) w1.At(i, j) = rng.Uniform(-init, init);
+    w2[i] = rng.Uniform(-0.5, 0.5) / std::sqrt(static_cast<double>(h));
+  }
+  std::vector<int> order(n);
+  for (int i = 0; i < n; ++i) order[i] = i;
+  la::Vec hidden(h), delta_hidden(h);
+  for (int epoch = 0; epoch < config.epochs; ++epoch) {
+    rng.Shuffle(order);
+    const double lr =
+        config.learning_rate / (1.0 + 0.05 * static_cast<double>(epoch));
+    for (int idx : order) {
+      const la::Vec& x = rows[idx];
+      for (int i = 0; i < h; ++i) {
+        hidden[i] = std::tanh(
+            la::Dot(la::Vec(w1.Row(i), w1.Row(i) + d), x) + b1[i]);
+      }
+      const double p = la::Sigmoid(la::Dot(w2, hidden) + b2);
+      const double err = p - labels[idx];
+      for (int i = 0; i < h; ++i) {
+        delta_hidden[i] = err * w2[i] * (1.0 - hidden[i] * hidden[i]);
+      }
+      for (int i = 0; i < h; ++i) {
+        w2[i] -= lr * (err * hidden[i] + config.l2 * w2[i]);
+        double* row = w1.Row(i);
+        for (int j = 0; j < d; ++j) {
+          row[j] -= lr * (delta_hidden[i] * x[j] + config.l2 * row[j]);
+        }
+        b1[i] -= lr * delta_hidden[i];
+      }
+      b2 -= lr * err;
+    }
+  }
+  return {std::move(w1), std::move(b1), std::move(w2), b2};
+}
+
+double ForwardSerialMlp(const SerialMlp& net, const la::Vec& x) {
+  double z = net.b2;
+  for (int i = 0; i < net.w1.rows(); ++i) {
+    const double* row = net.w1.Row(i);
+    double s = net.b1[i];
+    for (int j = 0; j < net.w1.cols(); ++j) s += row[j] * x[j];
+    z += net.w2[i] * std::tanh(s);
+  }
+  return la::Sigmoid(z);
+}
+
+TEST(MlpNetTest, BitIdenticalToSerialLoops) {
+  // 1, 5 and 16 (the default) hidden units cover the interleaved groups of
+  // four and the remainder; d = 13 is not a multiple of any vector width.
+  for (uint64_t seed : {1ULL, 19ULL, 4242ULL}) {
+    for (int hidden_units : {1, 5, 16}) {
+      SCOPED_TRACE("seed=" + std::to_string(seed) +
+                   " hidden_units=" + std::to_string(hidden_units));
+      Rng rng(seed * 17 + 3);
+      const int d = 13;
+      std::vector<la::Vec> rows(70, la::Vec(d));
+      std::vector<int> labels;
+      for (la::Vec& row : rows) {
+        for (double& v : row) v = rng.Uniform(-1.5, 1.5);
+        labels.push_back(row[0] - row[2] > 0.0 ? 1 : 0);
+      }
+      MlpConfig config;
+      config.hidden_units = hidden_units;
+      config.epochs = 15;
+      config.seed = seed;
+      const MlpNet net = MlpNet::Train(rows, labels, config);
+      const SerialMlp ref = TrainMlpSerial(rows, labels, config);
+
+      ASSERT_EQ(net.w1.rows(), hidden_units);
+      ASSERT_EQ(net.w1.cols(), d);
+      for (int i = 0; i < hidden_units; ++i) {
+        for (int j = 0; j < d; ++j) {
+          ASSERT_EQ(Bits(net.w1.At(i, j)), Bits(ref.w1.At(i, j)))
+              << "w1[" << i << "][" << j << "]";
+        }
+        ASSERT_EQ(Bits(net.b1[i]), Bits(ref.b1[i])) << "b1[" << i << "]";
+        ASSERT_EQ(Bits(net.w2[i]), Bits(ref.w2[i])) << "w2[" << i << "]";
+      }
+      ASSERT_EQ(Bits(net.b2), Bits(ref.b2));
+
+      for (int k = 0; k < 20; ++k) {
+        la::Vec x(d);
+        for (double& v : x) v = rng.Uniform(-2.0, 2.0);
+        EXPECT_EQ(Bits(net.Forward(x)), Bits(ForwardSerialMlp(ref, x)));
       }
     }
   }
